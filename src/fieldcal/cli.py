@@ -28,8 +28,8 @@ from .diagnostics import (EmptyBin, semivariogram, validation_report,
                           variogram_csv_rows)
 from .inference import (ArtifactError, ModelFit, OptimizationFailed,
                         PriorSpec, TooFewObservations, UnknownEvent,
-                        event_statistics, fit as fit_model, load_fit,
-                        log_posterior_theta, save_fit)
+                        event_log_posterior, event_statistics,
+                        fit as fit_model, format_fit, load_fit)
 from .numerics import NotPositiveDefinite, NotPSD, OptimizerOptions
 from .prediction import (export_grids, points_csv_rows, posterior_field,
                          predict_grid, sample_field)
@@ -242,14 +242,8 @@ def cmd_fit(args) -> int:
 
     result = fit_model(datasets, cfg.prior, cfg.optimizer, cfg.theta0)
     artifact = args.output or os.path.join(cfg.output_dir, "fit.out")
-    # staging name must differ from _write_text's own atomic-rename tmp
-    staged = f"{artifact}.body.tmp"
-    save_fit(result, staged)
-    with open(staged, "r", encoding="utf-8") as fh:
-        body = fh.read()
     header = "".join(f"# {line}\n" for line in _header(result.theta, cfg.config_hash))
-    _write_text(artifact, header + body)
-    os.remove(staged)
+    _write_text(artifact, header + format_fit(result))
 
     rows = []
     sy2 = cfg.prior.sigmaY ** 2
@@ -335,8 +329,7 @@ def cmd_validate(args) -> int:
         train, hold = holdout_split(ds, n_hold, split_seed)
         ef = event_statistics(train, result.theta, result.prior)
         sub = ModelFit(theta=result.theta, events=(ef,), prior=result.prior,
-                       log_posterior=log_posterior_theta(
-                           [train], result.theta, result.prior))
+                       log_posterior=event_log_posterior(ef, result.prior))
         report = validation_report(sub, train, hold)
         comments = _header(result.theta, cfg.config_hash)
         comments.append(f"event {grid.event} holdout {n_hold} seed {split_seed}")

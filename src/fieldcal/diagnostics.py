@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .covariance import _matern_values, correlation_matrix_arrays, rotate_array
+from .covariance import (correlation_matrix_arrays, rotate_array,
+                         smooth_correlation)
 from .dataio import EventDataset
 from .inference import ModelFit, basis_matrix
 from .numerics import cholesky, f_sf, pivoted_cholesky, std_normal_quantile
@@ -65,20 +66,12 @@ class VariogramTable:
 def _pair_values(dataset: EventDataset, fit: ModelFit, variable: str):
     theta = fit.theta
     loc_t = rotate_array(dataset.locations, theta.omega)
-    h1 = pdist(loc_t[:, :1], "cityblock")
-    h2 = pdist(loc_t[:, 1:], "cityblock")
-    dx = pdist(dataset.x[:, None], "cityblock")
-    if variable == "h1":
-        v = h1
-    elif variable == "h2":
-        v = h2
-    elif variable == "delta_intensity":
-        v = dx
-    else:
+    columns = {"h1": loc_t[:, 0], "h2": loc_t[:, 1],
+               "delta_intensity": dataset.x}
+    if variable not in columns:
         raise ValueError(f"binning variable must be one of {BIN_VARIABLES}")
-    smooth = (_matern_values(h1, theta.phi1, theta.nu1)
-              * _matern_values(h2, theta.phi2, theta.nu2)
-              * np.exp(-(dx / theta.phiX) ** 2))
+    v = pdist(columns[variable][:, None], "cityblock")
+    smooth = smooth_correlation(theta, loc_t, dataset.x)
     return v, smooth, loc_t
 
 

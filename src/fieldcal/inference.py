@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import Hyperparameters, correlation_matrix_arrays, rotate_array
+from .covariance import (NU_BOUNDS, Hyperparameters, correlation_matrix_arrays,
+                         rotate_array)
 from .dataio import EventDataset
 from .numerics import (CholeskyFactor, NotPositiveDefinite, OptimizerOptions,
                        cholesky, nelder_mead)
@@ -24,7 +25,6 @@ from .numerics import (CholeskyFactor, NotPositiveDefinite, OptimizerOptions,
 log = logging.getLogger(__name__)
 
 SIGMA2_FLOOR = 1e-10
-NU_BOUNDS = (0.05, 30.0)
 LOG_PARAM_BOUND = 30.0
 
 FIT_MAGIC = "FIELDCALFIT v1"
@@ -189,6 +189,15 @@ def _event_log_evidence(ef: EventFit, prior: PriorSpec) -> float:
             - 0.5 * ef.A_factor.logdet + 0.5 * ef.logdet_Bstar)
 
 
+def event_log_posterior(ef: EventFit, prior: PriorSpec) -> float:
+    """One event's term of :func:`log_posterior_theta`, from its EventFit:
+    the marginalized evidence, or -inf when the scale estimate collapsed
+    to its floor."""
+    if ef.sigma_floored:
+        return -math.inf
+    return _event_log_evidence(ef, prior)
+
+
 def log_posterior_theta(datasets, theta: Hyperparameters,
                         prior: PriorSpec) -> float:
     """Log posterior of theta under a flat hyperprior, up to a constant.
@@ -203,9 +212,9 @@ def log_posterior_theta(datasets, theta: Hyperparameters,
             ef = event_statistics(ds, theta, prior)
         except NotPositiveDefinite:
             return -math.inf
-        if ef.sigma_floored:
-            return -math.inf
-        total += _event_log_evidence(ef, prior)
+        total += event_log_posterior(ef, prior)
+        if total == -math.inf:
+            return total
     return total
 
 
@@ -323,10 +332,10 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def save_fit(fit_result: ModelFit, path) -> None:
-    """Serialize a ModelFit as versioned text.
+def format_fit(fit_result: ModelFit) -> str:
+    """A ModelFit as versioned artifact text.
 
-    Stores theta, the prior, and each event's training pairs at full
+    Holds theta, the prior, and each event's training pairs at full
     float precision, so reloading reproduces every statistic exactly.
     """
     p = fit_result.prior
@@ -351,8 +360,13 @@ def save_fit(fit_result: ModelFit, path) -> None:
             lines.append(" ".join(_fmt(v) for v in (
                 ds.locations[k, 0], ds.locations[k, 1], ds.x[k], ds.y[k])))
     lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def save_fit(fit_result: ModelFit, path) -> None:
+    """Write :func:`format_fit` of a ModelFit to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_fit(fit_result))
 
 
 def load_fit(path) -> ModelFit:

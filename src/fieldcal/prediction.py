@@ -234,17 +234,21 @@ def export_grids(pf: PosteriorField, grid: GridField):
     """Grid-shaped views of a grid prediction.
 
     Returns a dict of GridFields: posterior mean, posterior SD, mean
-    minus simulated, mean over simulated, and the extrapolation mask
-    (1 where the simulated value was at or below the fit threshold).
+    minus simulated, mean over simulated (missing where the simulated
+    value is 0), and the extrapolation mask (1 where the simulated value
+    was at or below the fit threshold).
     """
     if pf.cell_index is None:
         raise ValueError("posterior was not produced by predict_grid")
     sim = grid.values.ravel()[pf.cell_index]
+    # a zero simulated value is legal input; its ratio is undefined (NA)
+    ratio = np.divide(pf.mean, sim, out=np.full_like(pf.mean, np.nan),
+                      where=sim != 0.0)
     out = {
         "mean": _scatter(grid, pf, pf.mean),
         "sd": _scatter(grid, pf, pf.sd),
         "diff": _scatter(grid, pf, pf.mean - sim),
-        "ratio": _scatter(grid, pf, pf.mean / sim),
+        "ratio": _scatter(grid, pf, ratio),
         "extrapolated": _scatter(grid, pf, pf.extrapolated.astype(float)),
     }
     return out

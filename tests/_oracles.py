@@ -83,16 +83,13 @@ def t_quantile_bisect(p: float, df: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def nig_regression_quadrature(y, h, a_mat, b0, b_scale, a_ig, d_ig):
-    """Posterior moments of a single-coefficient conjugate regression by
-    raw 2-D quadrature over (beta, log sigma2).
+def _nig_joint(y, h, a_mat, b0, b_scale, a_ig, d_ig):
+    """Unnormalized log joint density of (beta, v = log sigma2) for the
+    single-coefficient regression, and its integration window.
 
-    y = h*beta + eta, eta ~ N(0, sigma2 * a_mat), prior
-    beta | sigma2 ~ N(b0, sigma2 * b_scale) and an inverse-gamma prior
-    on sigma2 with hyperparameters (a_ig, d_ig). Returns
-    (E[beta], E[1/sigma2]) from which the closed-form summaries follow.
-    The integration window is sized from a grid search for the joint
-    mode plus local curvature, so no conjugate formulas are reused.
+    The window is sized from a grid search for the joint mode plus local
+    curvature, so no conjugate formulas are reused. Returns
+    (log_density, (lo_b, hi_b, lo_v, hi_v), log density at the mode).
     """
     y = np.asarray(y, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -100,27 +97,32 @@ def nig_regression_quadrature(y, h, a_mat, b0, b_scale, a_ig, d_ig):
     a_inv = np.linalg.inv(a_mat)
     sign, logdet_a = np.linalg.slogdet(a_mat)
     assert sign > 0
+    # r^T A^{-1} r with r = y - h*beta, expanded in powers of beta so one
+    # density evaluation costs O(1) whatever the number of observations
+    q_yy = float(y @ a_inv @ y)
+    q_hy = float(h @ a_inv @ y)
+    q_hh = float(h @ a_inv @ h)
+    const = (-0.5 * (k * math.log(2 * math.pi) + logdet_a)
+             - 0.5 * math.log(2 * math.pi * b_scale))
 
     def log_density(beta, v):
-        # v = log sigma2; includes the e^v change-of-variable Jacobian
-        sig2 = math.exp(v)
-        r = y - h * beta
-        quad_form = float(r @ a_inv @ r)
-        ll = -0.5 * (k * math.log(2 * math.pi * sig2) + logdet_a
-                     + quad_form / sig2)
-        lp_beta = (-0.5 * math.log(2 * math.pi * sig2 * b_scale)
-                   - 0.5 * (beta - b0) ** 2 / (sig2 * b_scale))
-        lp_sig = (-(d_ig + 2.0) / 2.0) * math.log(sig2) - a_ig / (2.0 * sig2)
-        return ll + lp_beta + lp_sig + v
+        # v = log sigma2; includes the e^v change-of-variable Jacobian.
+        # Scalars or broadcasting arrays alike.
+        inv_sig2 = np.exp(-v)
+        quad_form = q_yy - 2.0 * beta * q_hy + beta * beta * q_hh
+        ll = -0.5 * k * v - 0.5 * quad_form * inv_sig2
+        lp_beta = -0.5 * v - 0.5 * (beta - b0) ** 2 * inv_sig2 / b_scale
+        lp_sig = (-(d_ig + 2.0) / 2.0) * v - 0.5 * a_ig * inv_sig2
+        return const + ll + lp_beta + lp_sig + v
 
     # bracket the mode with a deliberately oversized coarse grid
-    gls = float(h @ a_inv @ y) / float(h @ a_inv @ h)
+    gls = q_hy / q_hh
     spread = float(np.std(y)) + abs(gls - b0) + 1.0
     beta_grid = np.linspace(min(gls, b0) - 20 * spread,
                             max(gls, b0) + 20 * spread, 401)
     v_center = math.log(float(np.var(y)) + 1.0)
     v_grid = np.linspace(v_center - 16.0, v_center + 16.0, 401)
-    dens = np.array([[log_density(b, v) for v in v_grid] for b in beta_grid])
+    dens = log_density(beta_grid[:, None], v_grid[None, :])
     ib, iv = np.unravel_index(np.argmax(dens), dens.shape)
     beta_m, v_m = float(beta_grid[ib]), float(v_grid[iv])
 
@@ -132,20 +134,35 @@ def nig_regression_quadrature(y, h, a_mat, b0, b_scale, a_ig, d_ig):
                         (beta_grid[1] - beta_grid[0]) / 4 + 1e-9)
     sd_v = curvature_sd(lambda v: log_density(beta_m, v), v_m,
                         (v_grid[1] - v_grid[0]) / 4 + 1e-9)
-    lo_b, hi_b = beta_m - 14 * sd_b, beta_m + 14 * sd_b
-    lo_v, hi_v = v_m - 12 * sd_v - 8.0, v_m + 12 * sd_v + 8.0
-    log_ref = log_density(beta_m, v_m)
+    window = (beta_m - 14 * sd_b, beta_m + 14 * sd_b,
+              v_m - 12 * sd_v - 8.0, v_m + 12 * sd_v + 8.0)
+    return log_density, window, float(log_density(beta_m, v_m))
+
+
+_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-10)
+
+
+def nig_regression_quadrature(y, h, a_mat, b0, b_scale, a_ig, d_ig):
+    """Posterior moments of a single-coefficient conjugate regression by
+    raw 2-D quadrature over (beta, log sigma2).
+
+    y = h*beta + eta, eta ~ N(0, sigma2 * a_mat), prior
+    beta | sigma2 ~ N(b0, sigma2 * b_scale) and an inverse-gamma prior
+    on sigma2 with hyperparameters (a_ig, d_ig). Returns
+    (E[beta], E[1/sigma2]) from which the closed-form summaries follow.
+    """
+    log_density, window, log_ref = _nig_joint(y, h, a_mat, b0, b_scale,
+                                              a_ig, d_ig)
 
     def integrand(weight):
         def g(v, beta):
             return weight(beta, v) * math.exp(log_density(beta, v) - log_ref)
         return g
 
-    opts = dict(epsabs=1e-14, epsrel=1e-10)
-    z, _ = dblquad(integrand(lambda b, v: 1.0), lo_b, hi_b, lo_v, hi_v, **opts)
-    eb, _ = dblquad(integrand(lambda b, v: b), lo_b, hi_b, lo_v, hi_v, **opts)
-    eprec, _ = dblquad(integrand(lambda b, v: math.exp(-v)), lo_b, hi_b,
-                       lo_v, hi_v, **opts)
+    z, _ = dblquad(integrand(lambda b, v: 1.0), *window, **_QUAD_OPTS)
+    eb, _ = dblquad(integrand(lambda b, v: b), *window, **_QUAD_OPTS)
+    eprec, _ = dblquad(integrand(lambda b, v: math.exp(-v)), *window,
+                       **_QUAD_OPTS)
     return eb / z, eprec / z
 
 
@@ -157,46 +174,10 @@ def nig_log_evidence_quadrature(y, h, a_mat, b0, b_scale, a_ig, d_ig):
     normalizer, which does not depend on the correlation model; use it
     only through differences at fixed data and prior.
     """
-    y = np.asarray(y, dtype=float)
-    h = np.asarray(h, dtype=float)
-    k = len(y)
-    a_inv = np.linalg.inv(a_mat)
-    sign, logdet_a = np.linalg.slogdet(a_mat)
-    assert sign > 0
-
-    def log_density(beta, v):
-        sig2 = math.exp(v)
-        r = y - h * beta
-        ll = -0.5 * (k * math.log(2 * math.pi * sig2) + logdet_a
-                     + float(r @ a_inv @ r) / sig2)
-        lp_beta = (-0.5 * math.log(2 * math.pi * sig2 * b_scale)
-                   - 0.5 * (beta - b0) ** 2 / (sig2 * b_scale))
-        lp_sig = (-(d_ig + 2.0) / 2.0) * math.log(sig2) - a_ig / (2.0 * sig2)
-        return ll + lp_beta + lp_sig + v
-
-    gls = float(h @ a_inv @ y) / float(h @ a_inv @ h)
-    spread = float(np.std(y)) + abs(gls - b0) + 1.0
-    beta_grid = np.linspace(min(gls, b0) - 20 * spread,
-                            max(gls, b0) + 20 * spread, 401)
-    v_center = math.log(float(np.var(y)) + 1.0)
-    v_grid = np.linspace(v_center - 16.0, v_center + 16.0, 401)
-    dens = np.array([[log_density(b, v) for v in v_grid] for b in beta_grid])
-    ib, iv = np.unravel_index(np.argmax(dens), dens.shape)
-    beta_m, v_m = float(beta_grid[ib]), float(v_grid[iv])
-
-    def curvature_sd(f, x0, step):
-        d2 = (f(x0 + step) - 2.0 * f(x0) + f(x0 - step)) / step ** 2
-        return 1.0 / math.sqrt(max(-d2, 1e-12))
-
-    sd_b = curvature_sd(lambda b: log_density(b, v_m), beta_m,
-                        (beta_grid[1] - beta_grid[0]) / 4 + 1e-9)
-    sd_v = curvature_sd(lambda v: log_density(beta_m, v), v_m,
-                        (v_grid[1] - v_grid[0]) / 4 + 1e-9)
-    log_ref = log_density(beta_m, v_m)
+    log_density, window, log_ref = _nig_joint(y, h, a_mat, b0, b_scale,
+                                              a_ig, d_ig)
     z, _ = dblquad(lambda v, b: math.exp(log_density(b, v) - log_ref),
-                   beta_m - 14 * sd_b, beta_m + 14 * sd_b,
-                   v_m - 12 * sd_v - 8.0, v_m + 12 * sd_v + 8.0,
-                   epsabs=1e-14, epsrel=1e-10)
+                   *window, **_QUAD_OPTS)
     return math.log(z) + log_ref
 
 

@@ -6,12 +6,13 @@ them. One fit is shared per module; reruns check byte determinism.
 """
 
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from fieldcal import cli
-from fieldcal.dataio import load_grid, load_points
+from fieldcal.dataio import GridField, load_grid, load_points, save_grid
 from fieldcal.inference import load_fit
 
 from _synth import make_corpus, write_corpus
@@ -124,6 +125,34 @@ def test_predict_grid_writes_five_fields(corpus_dir, fitted, tmp_path):
     diff = load_grid(tmp_path / "predict_ev00_diff.fg")
     sim = load_grid(corpus_dir / "grid_ev00.fg")
     assert np.allclose(diff.values, mean.values - sim.values, atol=1e-4)
+
+
+def test_predict_grid_outputs_reload_with_zero_cell(corpus_dir, fitted,
+                                                   tmp_path):
+    # a zero simulated value is legal; its undefined ratio must come back
+    # as a missing cell rather than an unreadable infinity
+    sim = load_grid(corpus_dir / "grid_ev00.fg")
+    values = sim.values.copy()
+    values[3, 4] = 0.0
+    values[5, 6] = np.nan
+    grid_path = tmp_path / "zero.fg"
+    save_grid(GridField(event="ev00", n1=sim.n1, n2=sim.n2,
+                        origin=sim.origin, spacing=sim.spacing,
+                        values=values), grid_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["predict", "-f", str(fitted), "-e", "ev00",
+                       "--grid", str(grid_path), "-o", str(tmp_path)])
+    assert rc == 0
+    out = {name: load_grid(tmp_path / f"predict_ev00_{name}.fg").values
+           for name in ("mean", "sd", "diff", "ratio", "extrapolated")}
+    for name, got in out.items():
+        assert np.isnan(got[5, 6]), name
+        assert np.isfinite(got[3, 4]) == (name != "ratio"), name
+    live = np.isfinite(values) & (values != 0.0)
+    assert np.all(np.isfinite(out["ratio"][live]))
+    np.testing.assert_allclose(out["ratio"][live],
+                               out["mean"][live] / values[live], rtol=1e-4)
 
 
 def _interval_widths(path):

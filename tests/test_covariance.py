@@ -5,9 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import kv
 
 from fieldcal.covariance import (
+    _PIECE,
+    _U_LOW,
+    _matern_values,
     COINCIDENCE_TOL,
+    NU_BOUNDS,
     Hyperparameters,
     KernelPoint,
     SpacePoint,
@@ -151,6 +156,44 @@ def test_matern_domain_errors():
         matern_1d(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         matern_1d(-0.5, 1.0, 1.0)
+
+
+def _matern_kv_reference(h, phi, nu):
+    # the formula every fast path is gated against, straight from kv:
+    # overflow at tiny z means ~1, 0*inf far in the tail means ~0
+    z = (math.sqrt(2.0 * nu) / phi) * np.asarray(h, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore",
+                     under="ignore"):
+        out = 2.0 ** (1.0 - nu) / math.gamma(nu) * z ** nu * kv(nu, z)
+    out[~np.isfinite(out) & (z < 1.0)] = 1.0
+    out[~np.isfinite(out)] = 0.0
+    return np.clip(out, 0.0, 1.0)
+
+
+def test_matern_matches_kv_reference():
+    lo, hi = NU_BOUNDS
+    half = (0.5, 1.5, 2.5)
+    nus = np.concatenate([
+        np.geomspace(lo, hi, 61), [0.999, 1.0, 1.001, 2.0], half,
+        [np.nextafter(v, d) for v in half for d in (0.0, 10.0)]])
+    # lags as multiples of z: zero, below 1e-6, both sides of every piece
+    # edge of the table band, and on past where kv underflows
+    edges = np.exp(np.arange(_U_LOW - 1.0, 5.0, _PIECE))
+    base_z = np.concatenate([
+        [0.0, 1e-300, 1e-12, 1e-8, 9e-7], edges * (1 - 1e-12),
+        edges * (1 + 1e-12), np.geomspace(1e-7, 800.0, 4000)])
+    phi = 1.7
+    worst = 0.0
+    for nu in nus:
+        # the band's upper edge depends on nu
+        top = max(45.0, 2.0 * nu + 45.0)
+        z = np.concatenate([base_z, [top * (1 - 1e-12), top * (1 + 1e-12)]])
+        h = z * phi / math.sqrt(2.0 * nu)
+        got = _matern_values(h, phi, nu)
+        worst = max(worst, np.max(np.abs(got - _matern_kv_reference(h, phi, nu))))
+        assert got[0] == 1.0
+        assert np.all(_matern_values(np.zeros((2, 3)), phi, nu) == 1.0)
+    assert worst <= 1e-12
 
 
 def test_intensity_kernel_values():
