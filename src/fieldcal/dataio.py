@@ -304,25 +304,31 @@ def pair_and_threshold(stations: StationSet, grid: GridField, u: float) -> Event
     """Pair stations of the grid's event with interpolated simulated values.
 
     Keeps pairs with simulated value strictly above ``u``. Stations
-    outside the grid hull (or next to missing cells) are dropped and
-    counted in the log.
+    outside the grid hull (or next to missing cells) and stations at or
+    below ``u`` are dropped and counted in the log, each kind on its own
+    line.
     """
     recs = stations.for_event(grid.event)
     loc, xs, ys, ids = [], [], [], []
-    dropped = 0
+    outside = below = 0
     for r in recs:
         try:
             x = interpolate_field(grid, r.s1, r.s2)
         except (OutOfDomain, MissingNeighbor):
-            dropped += 1
+            outside += 1
             continue
         if x > u:
             loc.append((r.s1, r.s2))
             xs.append(x)
             ys.append(r.gust)
             ids.append(r.station)
-    if dropped:
-        log.info("event %s: dropped %d station(s) outside the grid", grid.event, dropped)
+        else:
+            below += 1
+    if outside:
+        log.info("event %s: dropped %d station(s) outside the grid", grid.event, outside)
+    if below:
+        log.info("event %s: dropped %d station(s) at or below the threshold %g",
+                 grid.event, below, u)
     if not xs:
         raise EmptyDataset(
             f"event {grid.event}: no station pairs with simulated value > {u}")

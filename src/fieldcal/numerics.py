@@ -156,37 +156,35 @@ def pivoted_cholesky(a) -> PivotedCholeskyFactor:
     sequence is non-increasing. Stops early on rank deficiency (residual
     pivots below ``1e-10 * max diag``); raises :class:`NotPSD` if a
     residual diagonal entry falls below ``-1e-8 * max diag``.
+
+    The factorization is LAPACK ``dpstrf`` (blocked, level 3). Residual
+    diagonals only shrink and a negative one is never chosen as a pivot,
+    so checking the residuals left after the last pivot raises exactly
+    when a check before every pivot would.
     """
     a = _require_symmetric(a, "pivoted_cholesky")
     n = a.shape[0]
-    work = a.copy()
-    perm = np.arange(n)
-    max_diag = max(float(np.max(np.diag(work))), 0.0) if n else 0.0
+    diag = np.diag(a)
+    max_diag = max(float(np.max(diag)), 0.0) if n else 0.0
     neg_tol = -1e-8 * max_diag
     rank_tol = 1e-10 * max_diag
-    rank = n
-    for k in range(n):
-        d = np.diag(work)[k:]
-        if np.min(d) < neg_tol:
+    if n and np.min(diag) < neg_tol:
+        raise NotPSD("residual diagonal entry is significantly negative")
+    if not np.any(diag > rank_tol):
+        # numerically zero matrix (or empty): rank 0, identity order
+        return PivotedCholeskyFactor(permutation=np.arange(n),
+                                     upper=np.zeros((n, n)), rank=0)
+    c, piv, rank, info = linalg.lapack.dpstrf(a, tol=rank_tol, lower=0)
+    if info < 0:
+        raise ValueError(f"dpstrf: illegal value in argument {-info}")
+    perm = (piv - 1).astype(np.intp)
+    upper = np.triu(c)
+    upper[rank:] = 0.0
+    if rank < n:
+        residual = diag[perm[rank:]] - np.sum(upper[:rank, rank:] ** 2, axis=0)
+        if np.min(residual) < neg_tol:
             raise NotPSD("residual diagonal entry is significantly negative")
-        j = k + int(np.argmax(d))
-        if work[j, j] <= rank_tol:
-            rank = k
-            # residual block is numerically zero; keep the factor columns
-            work[k:, k:] = 0.0
-            break
-        if j != k:
-            work[[k, j], :] = work[[j, k], :]
-            work[:, [k, j]] = work[:, [j, k]]
-            perm[[k, j]] = perm[[j, k]]
-        pivot = math.sqrt(work[k, k])
-        work[k, k] = pivot
-        work[k + 1:, k] /= pivot
-        col = work[k + 1:, k]
-        work[k + 1:, k + 1:] -= np.outer(col, col)
-        work[k, k + 1:] = 0.0
-    upper = np.tril(work).T
-    return PivotedCholeskyFactor(permutation=perm, upper=upper, rank=rank)
+    return PivotedCholeskyFactor(permutation=perm, upper=upper, rank=int(rank))
 
 
 @dataclass(frozen=True)

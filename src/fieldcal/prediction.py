@@ -186,11 +186,13 @@ def sample_field(posterior: PosteriorField, n: int, seed: int):
         raise ValueError("sample_field requires a full-covariance posterior")
     factor = pivoted_cholesky(posterior.covariance)
     m = len(posterior.mean)
-    g = np.zeros((m, m))
-    g[factor.permutation, :] = factor.upper.T
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, m))
-    draws = posterior.mean + z @ g.T
+    # G z with G = P U^T, without forming G: column perm[k] of the draws
+    # is z @ U[:, k]
+    draws = np.empty((n, m))
+    draws[:, factor.permutation] = z @ factor.upper
+    draws += posterior.mean
     return [FieldRealization(event=posterior.event, values=draws[i], seed=seed)
             for i in range(n)]
 

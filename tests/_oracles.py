@@ -219,3 +219,45 @@ def joint_conditional_oracle(theta, prior, train_loc, train_x, train_y,
     mean = mean_all[n:] + s_gy @ sol
     cov = sigma_hat2 * (s_gg - s_gy @ np.linalg.solve(s_yy, s_gy.T))
     return mean, 0.5 * (cov + cov.T)
+
+
+def pivoted_cholesky_reference(a):
+    """Greedy-pivoted Cholesky as a step-by-step loop of rank-1 updates.
+
+    The implementation ``numerics.pivoted_cholesky`` had before it called
+    LAPACK ``dpstrf``: the same largest-remaining-diagonal rule, the same
+    rank cut (1e-10 * max diag) and NotPSD check (-1e-8 * max diag), but
+    checked before every pivot instead of once at the end.
+    """
+    from fieldcal.numerics import NotPSD, PivotedCholeskyFactor, _require_symmetric
+
+    a = _require_symmetric(a, "pivoted_cholesky")
+    n = a.shape[0]
+    work = a.copy()
+    perm = np.arange(n)
+    max_diag = max(float(np.max(np.diag(work))), 0.0) if n else 0.0
+    neg_tol = -1e-8 * max_diag
+    rank_tol = 1e-10 * max_diag
+    rank = n
+    for k in range(n):
+        d = np.diag(work)[k:]
+        if np.min(d) < neg_tol:
+            raise NotPSD("residual diagonal entry is significantly negative")
+        j = k + int(np.argmax(d))
+        if work[j, j] <= rank_tol:
+            rank = k
+            # residual block is numerically zero; keep the factor columns
+            work[k:, k:] = 0.0
+            break
+        if j != k:
+            work[[k, j], :] = work[[j, k], :]
+            work[:, [k, j]] = work[:, [j, k]]
+            perm[[k, j]] = perm[[j, k]]
+        pivot = math.sqrt(work[k, k])
+        work[k, k] = pivot
+        work[k + 1:, k] /= pivot
+        col = work[k + 1:, k]
+        work[k + 1:, k + 1:] -= np.outer(col, col)
+        work[k, k + 1:] = 0.0
+    upper = np.tril(work).T
+    return PivotedCholeskyFactor(permutation=perm, upper=upper, rank=rank)

@@ -1,6 +1,8 @@
 """Station CSV and grid-file IO, bilinear interpolation, pairing and
 thresholding, holdout splitting."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,30 @@ def test_pair_drops_out_of_hull():
     g = grid_2x2(values=[[20.0, 20.0], [20.0, 20.0]])
     ds = pair_and_threshold(ss, g, 15.0)
     assert list(ds.stations) == ["A"]
+
+
+def test_pair_logs_hull_and_threshold_drops_separately(caplog):
+    recs = ("ev1,A,0.5,0.5,20.0\n"      # kept
+            "ev1,B,5.0,5.0,22.0\n"      # outside the hull
+            "ev1,C,-3.0,0.5,22.0\n"     # outside the hull
+            "ev1,D,0.0,0.0,21.0\n"      # 14.0, below u
+            "ev1,E,0.0,1.0,21.0\n"      # 15.0, at u
+            "ev1,F,1.0,0.0,21.0\n")     # 16.0, kept
+    ss = _stations_from_text(recs)
+    g = grid_2x2(values=[[14.0, 15.0], [16.0, 17.0]])
+    with caplog.at_level(logging.INFO, logger="fieldcal.dataio"):
+        ds = pair_and_threshold(ss, g, 15.0)
+    assert list(ds.stations) == ["A", "F"]
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == [
+        "event ev1: dropped 2 station(s) outside the grid",
+        "event ev1: dropped 2 station(s) at or below the threshold 15",
+    ]
+    # nothing dropped: nothing logged
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="fieldcal.dataio"):
+        pair_and_threshold(_stations_from_text("ev1,A,0.5,0.5,20.0\n"), g, 15.0)
+    assert caplog.records == []
 
 
 def test_pair_empty_raises():

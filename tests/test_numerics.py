@@ -24,7 +24,7 @@ from fieldcal.numerics import (
     std_normal_quantile,
     student_t_quantile,
 )
-from _oracles import bessel_k_quadrature, f_cdf_quadrature
+from _oracles import bessel_k_quadrature, f_cdf_quadrature, pivoted_cholesky_reference
 
 # Frozen oracle outputs (quadrature / bisection, computed once and pinned).
 K_03_07 = 0.6895624897569751          # bessel_k_quadrature(0.3, 0.7)
@@ -223,6 +223,50 @@ def test_pivoted_decorrelate_requires_full_rank():
     f = pivoted_cholesky(b @ b.T)
     with pytest.raises(NotPSD):
         f.decorrelate(np.array([1.0, 2.0, 3.0]))
+
+
+def _pivoted_reference_cases():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 6, 25, 300):
+        m = rng.normal(size=(n, n))
+        yield f"spd{n}", m @ m.T + 0.5 * np.eye(n)
+    for n in (40, 300):
+        pts = rng.uniform(0.0, 10.0, size=(n, 2))
+        h = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+        yield f"exp{n}", np.exp(-h / 3.0) + 1e-6 * np.eye(n)
+    for r in (2, 3):
+        b = rng.normal(size=(8, r))
+        yield f"rank{r}", b @ b.T
+    # residual pivots near 1e-13 * max diag: below the 1e-10 rank cut but
+    # above LAPACK's default n * eps * max diag
+    b, c = rng.normal(size=(8, 2)), rng.normal(size=(8, 8))
+    yield "rank2+tiny", b @ b.T + 1e-13 * (c @ c.T)
+    yield "ones", np.ones((3, 3))
+    yield "zeros", np.zeros((3, 3))
+    yield "empty", np.zeros((0, 0))
+
+
+def test_pivoted_matches_reference_loop():
+    # Tolerance, fixed before comparing: pivots and rank identical to the
+    # step-by-step loop; factor entries within 1e-12 * max diag absolute.
+    for name, a in _pivoted_reference_cases():
+        got = pivoted_cholesky(a)
+        want = pivoted_cholesky_reference(a)
+        assert got.rank == want.rank, name
+        np.testing.assert_array_equal(got.permutation, want.permutation,
+                                      err_msg=name)
+        assert got.upper.shape == want.upper.shape, name
+        scale = max(float(np.max(np.diag(a))), 0.0) if len(a) else 0.0
+        np.testing.assert_allclose(got.upper, want.upper, rtol=0.0,
+                                   atol=1e-12 * scale, err_msg=name)
+    # After pivoting on 4, index 1 is left with 1 - 16/4 = -3 while the
+    # positive pivot 2 is still available: the loop raises at its next
+    # step, and dpstrf alone would carry on past it.
+    a = np.array([[4.0, 4.0, 0.0], [4.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    with pytest.raises(NotPSD):
+        pivoted_cholesky_reference(a)
+    with pytest.raises(NotPSD):
+        pivoted_cholesky(a)
 
 
 def test_nelder_mead_quadratic():
