@@ -31,8 +31,8 @@ from .inference import (ArtifactError, ModelFit, OptimizationFailed,
                         event_log_posterior, event_statistics,
                         fit as fit_model, format_fit, load_fit)
 from .numerics import NotPositiveDefinite, NotPSD, OptimizerOptions
-from .prediction import (export_grids, points_csv_rows, posterior_field,
-                         predict_grid, sample_field)
+from .prediction import (CovarianceTooLarge, export_grids, points_csv_rows,
+                         posterior_field, predict_grid, sample_field)
 
 log = logging.getLogger("fieldcal")
 
@@ -47,7 +47,8 @@ class InsufficientStations(Exception):
 
 USER_ERRORS = (DataError, ConfigError, InsufficientStations, ArtifactError,
                TooFewObservations, OptimizationFailed, UnknownEvent, EmptyBin,
-               NotPositiveDefinite, NotPSD, FileNotFoundError)
+               NotPositiveDefinite, NotPSD, CovarianceTooLarge,
+               FileNotFoundError)
 
 _CONFIG_DEFAULTS = {
     "threshold": "15",

@@ -234,19 +234,38 @@ def load_grid(path) -> GridField:
         raise ShortFile(f"{path}: expected {need} values, found {len(tokens)}")
     if len(tokens) > need:
         raise ParseError(i + 6, f"expected {need} values, found {len(tokens)}")
-    vals = np.empty(need)
-    for k, tok in enumerate(tokens):
-        if tok == "NA":
-            vals[k] = np.nan
-        else:
-            try:
-                vals[k] = float(tok)
-            except ValueError:
-                raise ParseError(i + 6, f"bad value {tok!r}") from None
-            if not np.isfinite(vals[k]):
-                raise ParseError(i + 6, f"non-finite value {tok!r} (use NA for missing)")
+    vals = _grid_values(tokens, i + 6)
     return GridField(event=event, n1=n1, n2=n2, origin=(o1, o2),
                      spacing=(d1, d2), values=vals.reshape(n1, n2))
+
+
+def _grid_values(tokens, line):
+    """Float values of grid tokens, NaN for ``NA``.
+
+    Converts all tokens in one numpy call (which reads numbers as
+    ``float()`` does); only when that fails are the tokens walked one by
+    one, to name the first bad one. Errors report ``line``, the first
+    line of the value block.
+    """
+    tok = np.asarray(tokens, dtype=str)
+    na = tok == "NA"
+    vals = np.full(len(tok), np.nan)
+    try:
+        vals[~na] = tok[~na].astype(float)
+    except ValueError:
+        # in file order, so a non-finite value before the bad token wins
+        for k in np.flatnonzero(~na):
+            try:
+                vals[k] = float(tokens[k])
+            except ValueError:
+                raise ParseError(line, f"bad value {tokens[k]!r}") from None
+            if not np.isfinite(vals[k]):
+                break
+    bad = np.flatnonzero(~(np.isfinite(vals) | na))
+    if bad.size:
+        raise ParseError(
+            line, f"non-finite value {tokens[bad[0]]!r} (use NA for missing)")
+    return vals
 
 
 def save_grid(grid: GridField, path, header_comments=()) -> None:
@@ -259,9 +278,11 @@ def save_grid(grid: GridField, path, header_comments=()) -> None:
     buf.write(f"dims {grid.n1} {grid.n2}\n")
     buf.write(f"origin {grid.origin[0]:.6g} {grid.origin[1]:.6g}\n")
     buf.write(f"spacing {grid.spacing[0]:.6g} {grid.spacing[1]:.6g}\n")
-    for i in range(grid.n1):
-        row = ("NA" if np.isnan(v) else f"{v:.6g}" for v in grid.values[i])
-        buf.write(" ".join(row) + "\n")
+    # plain Python floats: numpy scalar calls per cell cost more than
+    # the formatting itself; v != v is the NaN test
+    for row in grid.values.tolist():
+        buf.write(" ".join(["NA" if v != v else f"{v:.6g}" for v in row])
+                  + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
 

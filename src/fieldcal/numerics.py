@@ -100,8 +100,12 @@ class CholeskyFactor:
 
     def solve(self, b):
         """Solve A x = b through the factor (two triangular solves)."""
-        y = linalg.solve_triangular(self.lower, b, lower=True)
+        y = self.solve_lower(b)
         return linalg.solve_triangular(self.lower.T, y, lower=False)
+
+    def solve_lower(self, b):
+        """Solve L w = b (one triangular solve), so b^T A^{-1} b = w^T w."""
+        return linalg.solve_triangular(self.lower, b, lower=True)
 
 
 def cholesky(a) -> CholeskyFactor:

@@ -19,6 +19,16 @@ from .numerics import pivoted_cholesky, std_normal_quantile, student_t_quantile
 
 # degrees of freedom above which Gaussian quantiles replace Student-t
 GAUSSIAN_DF = 30
+# targets per block of the diagonal-only posterior; at K stations a
+# block holds a few BLOCK_TARGETS x K arrays (about 3 MB each at K = 200)
+BLOCK_TARGETS = 2048
+# most targets a full-covariance posterior may have: it builds several
+# dense n x n matrices (about 190 MiB each at the limit)
+FULL_COV_MAX_TARGETS = 5000
+
+
+class CovarianceTooLarge(Exception):
+    """A full-covariance posterior was asked for more targets than allowed."""
 
 
 @dataclass(frozen=True)
@@ -111,35 +121,53 @@ def _conditional(fit: ModelFit, event: str, loc, x, full_cov: bool,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if loc.shape[0] != x.shape[0] or loc.shape[1] != 2:
         raise ValueError("targets must supply (n, 2) locations and n intensities")
+    n = len(x)
+    if full_cov and n > FULL_COV_MAX_TARGETS:
+        raise CovarianceTooLarge(
+            f"full covariance is limited to {FULL_COV_MAX_TARGETS} targets; "
+            f"{n} targets ask for a {n} x {n} matrix "
+            f"({n * n * 8 / 2 ** 20:.0f} MiB)")
 
     loc_t = rotate_array(loc, theta.omega)
-    t_mat = correlation_block(theta, loc_t, x, ef.locations_rot, ef.x)
-    h_t = basis_matrix(x, prior.q)
-    mean = h_t @ ef.beta_hat + t_mat @ ef.weights
-
-    ainv_tt = ef.A_factor.solve(t_mat.T)
-    r = h_t - t_mat @ ef.Ainv_H
     # the record-level nugget splits into measurement error (never part
     # of Z) and micro-scale field variance (diagonal of Z only)
     nugget_z = max(theta.lambda2 - prior.sigmaY ** 2 / ef.sigma_hat2, 0.0)
     noise = prior.sigmaY ** 2 if add_noise else 0.0
+    df = ef.K - prior.q
+
+    def block(rows):
+        """T, the posterior mean and H_t - T A^{-1} H for a slice of targets."""
+        t_mat = correlation_block(theta, loc_t[rows], x[rows],
+                                  ef.locations_rot, ef.x)
+        h_t = basis_matrix(x[rows], prior.q)
+        return (t_mat, h_t @ ef.beta_hat + t_mat @ ef.weights,
+                h_t - t_mat @ ef.Ainv_H)
 
     if full_cov:
+        t_mat, mean, r = block(slice(None))
+        ainv_tt = ef.A_factor.solve(t_mat.T)
         c_t = correlation_block(theta, loc_t, x, loc_t, x)
         cov = c_t - t_mat @ ainv_tt + r @ ef.Bstar @ r.T
         cov[np.diag_indices_from(cov)] += nugget_z
         cov *= ef.sigma_hat2
         cov[np.diag_indices_from(cov)] += noise
         cov = 0.5 * (cov + cov.T)
-        var = np.diag(cov).copy()
-    else:
-        var = (1.0 + nugget_z
-               - np.einsum("ij,ji->i", t_mat, ainv_tt)
-               + np.einsum("ij,ij->i", r @ ef.Bstar, r))
-        var = ef.sigma_hat2 * np.clip(var, 0.0, None) + noise
-        cov = None
-    df = ef.K - prior.q
-    return loc, x, mean, var, cov, df
+        return loc, x, mean, np.diag(cov).copy(), cov, df
+
+    # targets do not couple in the diagonal, so each block of rows is
+    # conditioned on its own and the working set stays a few BLOCK x K
+    # arrays however many targets there are
+    mean = np.empty(n)
+    var = np.empty(n)
+    for lo in range(0, n, BLOCK_TARGETS):
+        blk = slice(lo, lo + BLOCK_TARGETS)
+        t_mat, mean[blk], r = block(blk)
+        # t_i^T A^{-1} t_i = ||L^{-1} t_i||^2, one triangular solve
+        w = ef.A_factor.solve_lower(t_mat.T)
+        var[blk] = (1.0 + nugget_z - np.einsum("ij,ij->j", w, w)
+                    + np.einsum("ij,ij->i", r @ ef.Bstar, r))
+    var = ef.sigma_hat2 * np.clip(var, 0.0, None) + noise
+    return loc, x, mean, var, None, df
 
 
 def posterior_field(fit: ModelFit, event: str, targets,

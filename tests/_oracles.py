@@ -261,3 +261,77 @@ def pivoted_cholesky_reference(a):
         work[k, k + 1:] = 0.0
     upper = np.tril(work).T
     return PivotedCholeskyFactor(permutation=perm, upper=upper, rank=rank)
+
+
+def conditional_reference(fit, event, loc, x, add_noise):
+    """Diagonal-only posterior mean and variance over all targets at once.
+
+    The implementation ``prediction._conditional`` had before it worked
+    in blocks of targets: the whole n x K cross-correlation, A^{-1} T^T
+    by two triangular solves, and the quadratic term as
+    ``einsum("ij,ji->i", T, A^{-1} T^T)``.
+    """
+    from fieldcal.covariance import correlation_block, rotate_array
+    from fieldcal.inference import basis_matrix
+
+    ef = fit.event(event)
+    theta, prior = fit.theta, fit.prior
+    loc = np.atleast_2d(np.asarray(loc, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    loc_t = rotate_array(loc, theta.omega)
+    t_mat = correlation_block(theta, loc_t, x, ef.locations_rot, ef.x)
+    h_t = basis_matrix(x, prior.q)
+    mean = h_t @ ef.beta_hat + t_mat @ ef.weights
+
+    ainv_tt = ef.A_factor.solve(t_mat.T)
+    r = h_t - t_mat @ ef.Ainv_H
+    nugget_z = max(theta.lambda2 - prior.sigmaY ** 2 / ef.sigma_hat2, 0.0)
+    noise = prior.sigmaY ** 2 if add_noise else 0.0
+    var = (1.0 + nugget_z
+           - np.einsum("ij,ji->i", t_mat, ainv_tt)
+           + np.einsum("ij,ij->i", r @ ef.Bstar, r))
+    var = ef.sigma_hat2 * np.clip(var, 0.0, None) + noise
+    return mean, var
+
+
+def grid_values_reference(tokens, line):
+    """Grid token values by one ``float()`` call per token.
+
+    The loop ``dataio.load_grid`` ran before it converted all tokens in
+    one numpy call, with the same messages and line number.
+    """
+    from fieldcal.dataio import ParseError
+
+    vals = np.empty(len(tokens))
+    for k, tok in enumerate(tokens):
+        if tok == "NA":
+            vals[k] = np.nan
+        else:
+            try:
+                vals[k] = float(tok)
+            except ValueError:
+                raise ParseError(line, f"bad value {tok!r}") from None
+            if not np.isfinite(vals[k]):
+                raise ParseError(line, f"non-finite value {tok!r} (use NA for missing)")
+    return vals
+
+
+def save_grid_reference(grid, path, header_comments=()):
+    """FIELDGRID v1 writer testing each cell with ``np.isnan`` and
+    formatting the numpy scalar, as ``dataio.save_grid`` did before it
+    formatted plain Python floats."""
+    import io
+
+    buf = io.StringIO()
+    for line in header_comments:
+        buf.write(f"# {line}\n")
+    buf.write("FIELDGRID v1\n")
+    buf.write(f"event {grid.event}\n")
+    buf.write(f"dims {grid.n1} {grid.n2}\n")
+    buf.write(f"origin {grid.origin[0]:.6g} {grid.origin[1]:.6g}\n")
+    buf.write(f"spacing {grid.spacing[0]:.6g} {grid.spacing[1]:.6g}\n")
+    for i in range(grid.n1):
+        row = ("NA" if np.isnan(v) else f"{v:.6g}" for v in grid.values[i])
+        buf.write(" ".join(row) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(buf.getvalue())

@@ -187,6 +187,23 @@ def test_predict_full_cov_writes_matrix(corpus_dir, fitted, tmp_path):
     assert len(rows) == 1 + 8   # header plus one row per target
 
 
+def test_predict_grid_full_cov_over_limit_is_user_error(corpus_dir, fitted,
+                                                      tmp_path, caplog):
+    # 71 x 71 = 5041 cells, above the 5000-target full-covariance limit
+    sim = load_grid(corpus_dir / "grid_ev00.fg")
+    grid_path = tmp_path / "big.fg"
+    save_grid(GridField(event="ev00", n1=71, n2=71, origin=sim.origin,
+                        spacing=(sim.spacing[0] * 0.55, sim.spacing[1] * 0.55),
+                        values=np.full((71, 71), 20.0)), grid_path)
+    out = tmp_path / "out"
+    rc = cli.main(["predict", "-f", str(fitted), "-e", "ev00",
+                   "--grid", str(grid_path), "--full-cov", "-o", str(out)])
+    assert rc == 2
+    assert not out.exists() or os.listdir(out) == []
+    assert "limited to 5000 targets; 5041 targets ask for a 5041 x 5041" \
+        in caplog.text
+
+
 def test_predict_needs_exactly_one_target(corpus_dir, fitted, tmp_path):
     rc = cli.main(["predict", "-f", str(fitted), "-e", "ev00",
                    "-o", str(tmp_path)])

@@ -26,6 +26,8 @@ from fieldcal.dataio import (
     rmse,
     save_grid,
 )
+from fieldcal.dataio import _grid_values
+from _oracles import grid_values_reference, save_grid_reference
 
 STATION_HEADER = "event,station,s1,s2,gust\n"
 
@@ -163,6 +165,16 @@ def test_grid_rejects_bad_tokens(tmp_path):
         load_grid(write(tmp_path / "a.fg", base + "1 abc\n"))
     with pytest.raises(ParseError):
         load_grid(write(tmp_path / "b.fg", base + "1 inf\n"))
+    # the message names the first bad token and the first value line
+    body = "# c\n# c\n" + base.replace("1 2", "1 3")
+    for values, msg in (("1 abc -inf\n", "line 8: bad value 'abc'"),
+                        ("1\n-inf\nabc\n", "line 8: non-finite value '-inf' "
+                                           "(use NA for missing)"),
+                        ("NA 2 1e400\n", "line 8: non-finite value '1e400' "
+                                          "(use NA for missing)")):
+        with pytest.raises(ParseError) as exc:
+            load_grid(write(tmp_path / "e.fg", body + values))
+        assert str(exc.value) == msg
     with pytest.raises(HeaderMismatch):
         load_grid(write(tmp_path / "c.fg",
                         "FIELDGRID v2\nevent e\ndims 1 1\norigin 0 0\n"
@@ -171,6 +183,56 @@ def test_grid_rejects_bad_tokens(tmp_path):
         load_grid(write(tmp_path / "d.fg",
                         "FIELDGRID v1\nevent e\ndims 1\norigin 0 0\n"
                         "spacing 1 1\n1\n"))
+
+
+def test_save_grid_matches_reference_writer(tmp_path):
+    rng = np.random.default_rng(17)
+    special = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-300, 1e300, -1e300,
+               -1e-300, 5e-324, -2.5, -17.125, 1.7976931348623157e308,
+               # ties at the 6th and 7th significant digit, exact in
+               # binary and not
+               123456.5, 1234565.0, 1234575.0, 0.1234565, 1.234565,
+               2.5e-5, 12345.65, 9999995.0, 999999.5, 0.0001234565]
+    random = list(rng.normal(0, 1e4, size=30)) + list(
+        10.0 ** rng.uniform(-320, 308, size=30) * rng.choice([-1, 1], 30))
+    values = np.array([special + random])
+    values = np.vstack([values, values[:, ::-1] * -1.0])
+    g = GridField(event="tie break", n1=2, n2=values.shape[1],
+                  origin=(-0.0, 1e-7), spacing=(0.1, 3e5), values=values)
+    save_grid(g, tmp_path / "new.fg", header_comments=("c1", "c2"))
+    save_grid_reference(g, tmp_path / "old.fg", header_comments=("c1", "c2"))
+    new = (tmp_path / "new.fg").read_bytes()
+    assert new == (tmp_path / "old.fg").read_bytes()
+    assert b"\nNA 0 -0 inf -inf 1e-300 1e+300 -1e+300 " in new
+
+
+def test_grid_values_match_reference_parser():
+    # numpy's string-to-float conversion must read every token exactly
+    # as float() does, and errors must name the same token
+    rng = np.random.default_rng(19)
+    numbers = [repr(v) for v in rng.normal(0, 1e3, size=40)]
+    numbers += [f"{v:.17g}" for v in 10.0 ** rng.uniform(-300, 300, 40)]
+    numbers += ["1_0", "-0", "+3", ".5", "5.", "00012", "1e-400", "1E5",
+                "\u0661\u0662\u0663", "\uff11\uff12.\uff15", "NA", "-.5e-3"]
+    cases = [numbers, ["NA", "NA"], [],
+             ["1", "abc"], ["1", "1.2.3", "inf"], ["1", "inf", "abc"],
+             ["NA", "Infinity"], ["2", "1e400"], ["-1e400"], ["nan"],
+             ["1", "NaN", "x"], ["1_", "2"], ["0x10"], ["na"], ["1,5"],
+             ["\u2212" "1"], ["1", "2", "-inf"]]
+    for tokens in cases:
+        try:
+            want, want_exc = grid_values_reference(tokens, 9), None
+        except ParseError as exc:
+            want_exc = exc
+        if want_exc is None:
+            got = _grid_values(tokens, 9)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        else:
+            with pytest.raises(ParseError) as got_exc:
+                _grid_values(tokens, 9)
+            assert str(got_exc.value) == str(want_exc)
+            assert got_exc.value.line == want_exc.line == 9
 
 
 def test_grid_field_validation():

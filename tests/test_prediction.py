@@ -1,9 +1,12 @@
 """Posterior prediction and conditional simulation, checked against
 brute-force joint-Gaussian conditioning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fieldcal import prediction
 from fieldcal.covariance import Hyperparameters
 from fieldcal.dataio import EventDataset, GridField
 from fieldcal.inference import (
@@ -23,7 +26,7 @@ from fieldcal.prediction import (
     predictive_measurements,
     sample_field,
 )
-from _oracles import joint_conditional_oracle
+from _oracles import conditional_reference, joint_conditional_oracle
 
 THETA = Hyperparameters(omega=0.2, lambda2=0.4, phi1=3.0, phi2=2.0,
                         nu1=1.3, nu2=0.8, phiX=10.0)
@@ -216,6 +219,102 @@ def test_predict_grid_matches_pointwise():
         assert bool(pf.extrapolated[k]) == (flat[idx] <= 15.0)
         k += 1
     assert int(pf.extrapolated.sum()) == 1
+
+
+def test_blocked_prediction_matches_dense_reference(monkeypatch):
+    # tolerances fixed before measuring: mean 1e-12 relative, variance
+    # 1e-12 * sigma_hat2 absolute (the quadratic term is summed in a
+    # different order), cell bookkeeping identical
+    rng = np.random.default_rng(127)
+    mf = make_fit(rng, k=20)
+    ef = mf.events[0]
+    vals = rng.uniform(10.0, 40.0, size=(6, 9))
+    vals[0, 2] = vals[3, 3] = vals[5, 8] = np.nan
+    vals[2, 2] = 15.0   # at the threshold: extrapolated
+    grid = GridField(event="ev", n1=6, n2=9, origin=(-1.0, 0.5),
+                     spacing=(2.5, 1.5), values=vals)
+    flat = vals.ravel()
+    valid = np.flatnonzero(np.isfinite(flat))
+    assert len(valid) == 51 and np.sum(flat[valid] <= 15.0) >= 3
+
+    rows = []
+    block = prediction.correlation_block
+
+    def counted(theta, loc_a, x_a, loc_b, x_b):
+        rows.append(len(x_a))
+        return block(theta, loc_a, x_a, loc_b, x_b)
+
+    whole = predict_grid(mf, "ev", grid)
+    monkeypatch.setattr(prediction, "BLOCK_TARGETS", 7)
+    monkeypatch.setattr(prediction, "correlation_block", counted)
+    pf = predict_grid(mf, "ev", grid)
+    assert rows == [7] * 7 + [2]
+
+    want_mean, want_var = conditional_reference(
+        mf, "ev", grid.cell_centers()[valid], flat[valid], add_noise=False)
+    for got in (pf, whole):
+        np.testing.assert_allclose(got.mean, want_mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.variance, want_var, rtol=0,
+                                   atol=1e-12 * ef.sigma_hat2)
+        np.testing.assert_array_equal(got.cell_index, valid)
+        np.testing.assert_array_equal(got.extrapolated, flat[valid] <= 15.0)
+
+    # measurement space, through the point API, blocks of 7 as well
+    rows.clear()
+    tloc = rng.uniform(-2, 14, size=(16, 2))
+    tx = rng.uniform(10, 40, size=16)
+    y = predictive_measurements(mf, "ev", (tloc, tx), full_cov=False)
+    assert rows == [7, 7, 2] and y.covariance is None
+    want_mean, want_var = conditional_reference(mf, "ev", tloc, tx,
+                                                add_noise=True)
+    np.testing.assert_allclose(y.mean, want_mean, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(y.variance, want_var, rtol=0,
+                               atol=1e-12 * ef.sigma_hat2)
+
+
+def test_predict_grid_memory_is_bounded_by_the_block():
+    # at K = 200 the dense cross-correlation and its temporaries grew the
+    # peak by about 4.9 KB per cell; blocked, only O(1) arrays per cell
+    # remain (centres, mask, mean, variance, ...)
+    rng = np.random.default_rng(131)
+    mf = make_fit(rng, k=200)
+
+    def grid(n):
+        vals = rng.uniform(10.0, 40.0, size=(n, n))
+        return GridField(event="ev", n1=n, n2=n, origin=(0.0, 0.0),
+                         spacing=(12.0 / n, 12.0 / n), values=vals)
+
+    predict_grid(mf, "ev", grid(5))   # builds the kernel table outside
+    peaks = {}
+    for n in (100, 200):
+        g = grid(n)
+        tracemalloc.start()
+        try:
+            predict_grid(mf, "ev", g)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_cell = (peaks[200] - peaks[100]) / (200 ** 2 - 100 ** 2)
+    assert per_cell < 512, f"{per_cell:.0f} bytes per added cell"
+
+
+def test_full_cov_over_the_limit_raises_before_any_work(monkeypatch):
+    rng = np.random.default_rng(137)
+    mf = make_fit(rng)
+
+    def forbidden(*args):
+        raise AssertionError("correlation computed before the size check")
+
+    monkeypatch.setattr(prediction, "correlation_block", forbidden)
+    n = prediction.FULL_COV_MAX_TARGETS + 1
+    targets = (np.zeros((n, 2)), np.full(n, 20.0))
+    with pytest.raises(prediction.CovarianceTooLarge,
+                       match=f"limited to {n - 1} targets; {n} targets ask "
+                             f"for a {n} x {n} matrix"):
+        posterior_field(mf, "ev", targets, full_cov=True)
+    with pytest.raises(prediction.CovarianceTooLarge):
+        predictive_measurements(mf, "ev", targets)
+    assert prediction.FULL_COV_MAX_TARGETS >= 5000
 
 
 def test_predict_grid_all_missing():
