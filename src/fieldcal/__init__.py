@@ -3,17 +3,16 @@ measurements and gridded simulator output."""
 
 __version__ = "1.0.0"
 
-from .covariance import (Hyperparameters, KernelPoint, SpacePoint,
-                         composite_correlation, correlation_matrix,
-                         cross_correlation_vector, intensity_kernel,
-                         matern_1d, rotate_coords)
+from .covariance import (Hyperparameters, correlation_block,
+                         correlation_matrix_arrays, rotate_array,
+                         smooth_correlation)
 from .dataio import (EventDataset, GridField, StationSet, interpolate_field,
                      load_grid, load_stations, pair_and_threshold, rmse,
                      save_grid)
 from .diagnostics import (ValidationReport, VariogramTable, mahalanobis_test,
                           pivoted_errors, semivariogram, standardized_errors,
                           validation_report)
-from .inference import (EventFit, ModelFit, PriorSpec, basis, default_prior,
+from .inference import (EventFit, ModelFit, PriorSpec, default_prior,
                         event_statistics, fit, load_fit, log_posterior_theta,
                         save_fit)
 from .numerics import (CholeskyFactor, OptimizerOptions,
@@ -25,15 +24,14 @@ from .prediction import (FieldRealization, PosteriorField, posterior_field,
 
 __all__ = [
     "__version__",
-    "Hyperparameters", "KernelPoint", "SpacePoint", "composite_correlation",
-    "correlation_matrix", "cross_correlation_vector", "intensity_kernel",
-    "matern_1d", "rotate_coords",
+    "Hyperparameters", "correlation_block", "correlation_matrix_arrays",
+    "rotate_array", "smooth_correlation",
     "EventDataset", "GridField", "StationSet", "interpolate_field",
     "load_grid", "load_stations", "pair_and_threshold", "rmse", "save_grid",
     "ValidationReport", "VariogramTable", "mahalanobis_test",
     "pivoted_errors", "semivariogram", "standardized_errors",
     "validation_report",
-    "EventFit", "ModelFit", "PriorSpec", "basis", "default_prior",
+    "EventFit", "ModelFit", "PriorSpec", "default_prior",
     "event_statistics", "fit", "load_fit", "log_posterior_theta", "save_fit",
     "CholeskyFactor", "OptimizerOptions", "PivotedCholeskyFactor", "bessel_k",
     "cholesky", "f_cdf", "nelder_mead", "pivoted_cholesky",

@@ -1,9 +1,10 @@
 """Coordinate rotation and the composite correlation model.
 
-Correlation between two data records is zero across events. Within an
-event it is the product of a per-axis Matern kernel in rotated
-coordinates and a Gaussian kernel in simulated intensity, plus a nugget
-that attaches only to a record's correlation with itself.
+Each event is conditioned on its own records. Their correlation is the
+product of a per-axis Matern kernel in rotated coordinates and a
+Gaussian kernel in simulated intensity; the nugget lambda2 is added on
+the diagonal of an event's correlation matrix, and never to the
+cross-correlation between data records and prediction targets.
 """
 
 from __future__ import annotations
@@ -11,20 +12,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.special import kv
 
-# Two locations closer than this (per coordinate) count as coincident for
-# the nugget branch.
-COINCIDENCE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    """Correlation hyperparameters shared by all events.
+    """Correlation hyperparameters shared by all events; all finite.
 
     Parameters
     ----------
@@ -51,7 +47,10 @@ class Hyperparameters:
     def __post_init__(self):
         if not -math.pi / 2 < self.omega <= math.pi / 2:
             raise ValueError("omega must lie in (-pi/2, pi/2]")
-        if self.lambda2 < 0.0:
+        for name, value in self.as_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+        if not self.lambda2 >= 0.0:
             raise ValueError("lambda2 must be >= 0")
         for name in ("phi1", "phi2", "nu1", "nu2", "phiX"):
             if not getattr(self, name) > 0.0:
@@ -63,38 +62,6 @@ class Hyperparameters:
             "phi1": self.phi1, "phi2": self.phi2,
             "nu1": self.nu1, "nu2": self.nu2, "phiX": self.phiX,
         }
-
-
-@dataclass(frozen=True)
-class SpacePoint:
-    """A location in transformed (rotated) coordinates."""
-
-    s1: float
-    s2: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.s1) and math.isfinite(self.s2)):
-            raise ValueError("coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """One data record as seen by the correlation function."""
-
-    event: str
-    location: SpacePoint
-    intensity: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.intensity):
-            raise ValueError("intensity must be finite")
-
-
-def rotate_coords(s_star, omega: float) -> SpacePoint:
-    """Rotate a raw grid coordinate pair by ``omega``: s = T s*."""
-    c, s = math.cos(omega), math.sin(omega)
-    a, b = float(s_star[0]), float(s_star[1])
-    return SpacePoint(s1=c * a - s * b, s2=s * a + c * b)
 
 
 def rotate_array(loc, omega: float) -> np.ndarray:
@@ -227,62 +194,6 @@ def _matern_values(h, phi: float, nu: float):
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def matern_1d(h, phi: float, nu: float):
-    """Matern correlation at lag ``h`` with range ``phi``, smoothness ``nu``.
-
-    Uses the sqrt(2 nu) h / phi argument convention, so nu = 0.5 gives
-    exp(-h/phi). The zero-lag value is exactly 1.
-    """
-    if not phi > 0.0:
-        raise ValueError("matern_1d: phi must be > 0")
-    if not nu > 0.0:
-        raise ValueError("matern_1d: nu must be > 0")
-    if np.isscalar(h):
-        if h < 0.0:
-            raise ValueError("matern_1d: h must be >= 0")
-        return float(_matern_values(np.array([h]), phi, nu)[0])
-    return _matern_values(h, phi, nu)
-
-
-def intensity_kernel(x, x_prime, phiX: float):
-    """Gaussian correlation in simulated intensity: exp{-((x-x')/phiX)^2}."""
-    if not phiX > 0.0:
-        raise ValueError("intensity_kernel: phiX must be > 0")
-    d = (np.asarray(x, dtype=float) - np.asarray(x_prime, dtype=float)) / phiX
-    out = np.exp(-d * d)
-    if np.isscalar(x) and np.isscalar(x_prime):
-        return float(out)
-    return out
-
-
-def same_record(p: KernelPoint, q: KernelPoint) -> bool:
-    """Whether two kernel points describe the same data record.
-
-    Coincident means same event, locations within 1e-9 per coordinate,
-    and identical intensity. Distinct stations that merely share
-    coordinates are not the same record and get smooth correlation 1
-    without the nugget.
-    """
-    return (p.event == q.event
-            and abs(p.location.s1 - q.location.s1) <= COINCIDENCE_TOL
-            and abs(p.location.s2 - q.location.s2) <= COINCIDENCE_TOL
-            and p.intensity == q.intensity)
-
-
-def composite_correlation(p: KernelPoint, q: KernelPoint,
-                          theta: Hyperparameters) -> float:
-    """Composite correlation between two records (locations pre-rotated)."""
-    if p.event != q.event:
-        return 0.0
-    if same_record(p, q):
-        return 1.0 + theta.lambda2
-    h1 = abs(p.location.s1 - q.location.s1)
-    h2 = abs(p.location.s2 - q.location.s2)
-    return (matern_1d(h1, theta.phi1, theta.nu1)
-            * matern_1d(h2, theta.phi2, theta.nu2)
-            * intensity_kernel(p.intensity, q.intensity, theta.phiX))
-
-
 def smooth_correlation(theta: Hyperparameters, loc_a, x_a, loc_b=None,
                        x_b=None) -> np.ndarray:
     """Nugget-free Matern x Matern x Gaussian correlation of one event's records.
@@ -308,20 +219,16 @@ def smooth_correlation(theta: Hyperparameters, loc_a, x_a, loc_b=None,
     return c
 
 
-def correlation_matrix_arrays(theta: Hyperparameters, loc, x,
-                              include_nugget: bool) -> np.ndarray:
+def correlation_matrix_arrays(theta: Hyperparameters, loc, x) -> np.ndarray:
     """Within-event correlation matrix from coordinate and intensity arrays.
 
     ``loc`` is (n, 2) in rotated coordinates, ``x`` the simulated
-    intensities. Rows are distinct records: the nugget goes on the
-    diagonal only.
+    intensities. Rows are distinct records, even where two coincide: the
+    diagonal is 1 + lambda2 and every off-diagonal entry is the smooth
+    correlation.
     """
-    n = np.asarray(loc).shape[0]
-    diag = 1.0 + theta.lambda2 if include_nugget else 1.0
-    if n == 1:
-        return np.array([[diag]])
     m = squareform(smooth_correlation(theta, loc, x))
-    np.fill_diagonal(m, diag)
+    np.fill_diagonal(m, 1.0 + theta.lambda2)
     return m
 
 
@@ -332,45 +239,3 @@ def correlation_block(theta: Hyperparameters, loc_a, x_a, loc_b, x_b) -> np.ndar
     event; shape (len(a), len(b)).
     """
     return smooth_correlation(theta, loc_a, x_a, loc_b, x_b)
-
-
-def _split_points(points: Sequence[KernelPoint]):
-    events = [p.event for p in points]
-    loc = np.array([[p.location.s1, p.location.s2] for p in points])
-    x = np.array([p.intensity for p in points])
-    return events, loc, x
-
-
-def correlation_matrix(points: Sequence[KernelPoint], theta: Hyperparameters,
-                       include_nugget: bool) -> np.ndarray:
-    """Correlation matrix over a sequence of records.
-
-    With the nugget the diagonal is 1 + lambda2, without it 1;
-    off-diagonal entries are the smooth composite correlation either way.
-    Entries between records of different events are exactly zero.
-    """
-    events, loc, x = _split_points(points)
-    n = len(points)
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    for ev in dict.fromkeys(events):
-        sel = idx[np.array([e == ev for e in events])]
-        m[np.ix_(sel, sel)] = correlation_matrix_arrays(
-            theta, loc[sel], x[sel], include_nugget)
-    return m
-
-
-def cross_correlation_vector(target: KernelPoint,
-                             points: Sequence[KernelPoint],
-                             theta: Hyperparameters) -> np.ndarray:
-    """Smooth correlations between a target record and a sequence of records.
-
-    Never includes the nugget, even where the target coincides with a
-    data record; this is the prediction weight vector.
-    """
-    events, loc, x = _split_points(points)
-    tloc = np.array([[target.location.s1, target.location.s2]])
-    tx = np.array([target.intensity])
-    v = correlation_block(theta, tloc, tx, loc, x)[0]
-    mask = np.array([e == target.event for e in events], dtype=float)
-    return v * mask

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
-from .covariance import (correlation_matrix_arrays, rotate_array,
-                         smooth_correlation)
+from .covariance import correlation_matrix_arrays, rotate_array
 from .dataio import EventDataset
 from .inference import ModelFit, basis_matrix
 from .numerics import cholesky, f_sf, pivoted_cholesky, std_normal_quantile
@@ -70,9 +69,7 @@ def _pair_values(dataset: EventDataset, fit: ModelFit, variable: str):
                "delta_intensity": dataset.x}
     if variable not in columns:
         raise ValueError(f"binning variable must be one of {BIN_VARIABLES}")
-    v = pdist(columns[variable][:, None], "cityblock")
-    smooth = smooth_correlation(theta, loc_t, dataset.x)
-    return v, smooth, loc_t
+    return pdist(columns[variable][:, None], "cityblock"), loc_t
 
 
 def _bin_assignment(v: np.ndarray, bins: int):
@@ -108,8 +105,11 @@ def semivariogram(dataset: EventDataset, fit: ModelFit, variable: str,
     theta = fit.theta
     e = dataset.y - basis_matrix(dataset.x, fit.prior.q) @ ef.beta_hat
 
-    v, smooth, loc_t = _pair_values(dataset, fit, variable)
+    v, loc_t = _pair_values(dataset, fit, variable)
     edges, idx, counts = _bin_assignment(v, bins)
+    a_mat = correlation_matrix_arrays(theta, loc_t, dataset.x)
+    # the off-diagonal of A is the smooth correlation of every pair
+    smooth = squareform(a_mat, checks=False)
     emp_pairs = 0.5 * pdist(e[:, None], "cityblock") ** 2
     model_pairs = ef.sigma_hat2 * (1.0 + theta.lambda2 - smooth)
 
@@ -118,8 +118,6 @@ def semivariogram(dataset: EventDataset, fit: ModelFit, variable: str,
     center = _bin_means(v, idx, bins, counts)
 
     # parametric MC: residual fields drawn from the fitted marginal model
-    a_mat = correlation_matrix_arrays(theta, loc_t, dataset.x,
-                                      include_nugget=True)
     lower_factor = cholesky(a_mat).lower * np.sqrt(ef.sigma_hat2)
     rng = np.random.default_rng(seed)
     sims = np.empty((reps, bins))

@@ -92,14 +92,8 @@ def default_prior() -> PriorSpec:
                      a=0.0, d=0.0, sigmaY=3.0, basis_degree=2)
 
 
-def basis(x: float, q: int) -> np.ndarray:
-    """Polynomial regression basis (1), (1, x) or (1, x, x^2)."""
-    if q not in (1, 2, 3):
-        raise ValueError(f"unsupported basis size q={q}")
-    return np.array([float(x) ** k for k in range(q)])
-
-
 def basis_matrix(x, q: int) -> np.ndarray:
+    """Polynomial regression basis (1), (1, x) or (1, x, x^2), one row per x."""
     if q not in (1, 2, 3):
         raise ValueError(f"unsupported basis size q={q}")
     x = np.asarray(x, dtype=float)
@@ -153,7 +147,7 @@ def event_statistics(dataset: EventDataset, theta: Hyperparameters,
             f"event {dataset.event}: K={K} pairs but basis has q={q} coefficients")
     y = dataset.y
     loc_t = rotate_array(dataset.locations, theta.omega)
-    a_mat = correlation_matrix_arrays(theta, loc_t, dataset.x, include_nugget=True)
+    a_mat = correlation_matrix_arrays(theta, loc_t, dataset.x)
     a_factor = cholesky(a_mat)
     h = basis_matrix(dataset.x, q)
 

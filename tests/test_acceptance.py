@@ -13,12 +13,14 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.spatial.distance import squareform
 
 from fieldcal import cli
 from fieldcal.covariance import (
     Hyperparameters,
     correlation_matrix_arrays,
     rotate_array,
+    smooth_correlation,
 )
 from fieldcal.dataio import (
     EventDataset,
@@ -123,7 +125,7 @@ def test_conjugate_posterior_matches_quadrature(capsys):
         ef = event_statistics(ds, theta, prior)
 
         a_mat = correlation_matrix_arrays(
-            theta, rotate_array(loc, theta.omega), x, include_nugget=True)
+            theta, rotate_array(loc, theta.omega), x)
         e_beta, e_inv = nig_regression_quadrature(
             y, np.ones(k), a_mat, b0=b0, b_scale=float(prior.B[0, 0]),
             a_ig=prior.a, d_ig=prior.d)
@@ -248,8 +250,7 @@ def test_diagnostic_calibration(capsys):
     loc = rng.uniform(0.0, 20.0, size=(k + nh, 2))
     x = rng.uniform(16.0, 30.0, size=k + nh)
     h = np.column_stack([np.ones(k + nh), x, x * x])
-    corr = correlation_matrix_arrays(theta, rotate_array(loc, theta.omega),
-                                     x, include_nugget=True)
+    corr = correlation_matrix_arrays(theta, rotate_array(loc, theta.omega), x)
     chol = np.linalg.cholesky(corr)
     b_chol = np.linalg.cholesky(prior.B)
 
@@ -277,7 +278,7 @@ def test_diagnostic_calibration(capsys):
     x2 = rng2.uniform(16.0, 30.0, size=kv)
     h2 = np.column_stack([np.ones(kv), x2, x2 * x2])
     corr2 = correlation_matrix_arrays(theta, rotate_array(loc2, theta.omega),
-                                      x2, include_nugget=True)
+                                      x2)
     chol2 = np.linalg.cholesky(corr2)
     fracs = []
     for rep in range(50):
@@ -359,8 +360,8 @@ def test_property_invariants_bundle(capsys, tmp_path):
         loc = rng.uniform(0.0, 15.0, size=(n, 2))
         x = rng.uniform(16.0, 40.0, size=n)
         rot = rotate_array(loc, theta.omega)
-        bare = correlation_matrix_arrays(theta, rot, x, include_nugget=False)
-        full = correlation_matrix_arrays(theta, rot, x, include_nugget=True)
+        bare = squareform(smooth_correlation(theta, rot, x)) + np.eye(n)
+        full = correlation_matrix_arrays(theta, rot, x)
         ev_bare = np.linalg.eigvalsh(bare).min()
         ev_full = np.linalg.eigvalsh(full).min()
         psd_ok &= ev_bare >= -1e-8 * n

@@ -111,6 +111,17 @@ def test_config_errors_exit_2(corpus_dir, tmp_path):
     assert cli.main(["fit", "-c", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_non_finite_theta0_is_a_config_error(corpus_dir, tmp_path, caplog):
+    out = tmp_path / "fit_nan.out"
+    rc = cli.main(["fit", "-c", str(corpus_dir / "run.cfg"),
+                   "--set", "theta0=0,nan,5,5,1.5,1.5,5", "-o", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "ConfigError" in caplog.text
+    assert "internal error" not in caplog.text
+    assert all(r.exc_info is None for r in caplog.records)
+
+
 def test_predict_grid_writes_five_fields(corpus_dir, fitted, tmp_path):
     rc = cli.main(["predict", "-f", str(fitted), "-e", "ev00",
                    "--grid", str(corpus_dir / "grid_ev00.fg"),

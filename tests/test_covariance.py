@@ -1,39 +1,28 @@
-"""Rotation, Matern and intensity kernels, and the composite correlation
-model with its nugget rules."""
+"""Rotation, the Matern kernel, and the composite correlation model with
+its nugget rule."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 from scipy.special import kv
 
 from fieldcal.covariance import (
     _PIECE,
     _U_LOW,
     _matern_values,
-    COINCIDENCE_TOL,
     NU_BOUNDS,
     Hyperparameters,
-    KernelPoint,
-    SpacePoint,
-    composite_correlation,
     correlation_block,
-    correlation_matrix,
     correlation_matrix_arrays,
-    cross_correlation_vector,
-    intensity_kernel,
-    matern_1d,
     rotate_array,
-    rotate_coords,
-    same_record,
+    smooth_correlation,
 )
 
 THETA = Hyperparameters(omega=0.3, lambda2=0.36, phi1=2.0, phi2=1.5,
                         nu1=1.2, nu2=0.7, phiX=8.0)
-
-
-def kp(event, s1, s2, x):
-    return KernelPoint(event=event, location=SpacePoint(s1, s2), intensity=x)
 
 
 def random_theta(rng):
@@ -48,41 +37,63 @@ def random_theta(rng):
     )
 
 
+def matern(h, phi, nu):
+    """The Matern kernel at one scalar lag."""
+    return float(_matern_values(np.array([h]), phi, nu)[0])
+
+
+def product_kernel(th, pa, xa, pb, xb):
+    """Matern x Matern x Gaussian at one pair of records, factor by factor."""
+    d = (xa - xb) / th.phiX
+    return (matern(abs(pa[0] - pb[0]), th.phi1, th.nu1)
+            * matern(abs(pa[1] - pb[1]), th.phi2, th.nu2)
+            * math.exp(-d * d))
+
+
+def intensity_only(th, x, x_prime):
+    """The correlation of two records at one location: both Matern
+    factors are exactly 1, leaving the Gaussian intensity kernel."""
+    return correlation_block(th, [[1.0, 2.0]], [x], [[1.0, 2.0]], [x_prime])[0, 0]
+
+
 def test_hyperparameters_validation():
+    good = dict(omega=0.0, lambda2=0.1, phi1=1, phi2=1, nu1=1, nu2=1, phiX=1)
+    Hyperparameters(**good)
     with pytest.raises(ValueError):
-        Hyperparameters(omega=2.0, lambda2=0.1, phi1=1, phi2=1, nu1=1, nu2=1,
-                        phiX=1)
+        Hyperparameters(**{**good, "omega": 2.0})
     with pytest.raises(ValueError):
-        Hyperparameters(omega=0.0, lambda2=-0.1, phi1=1, phi2=1, nu1=1, nu2=1,
-                        phiX=1)
+        Hyperparameters(**{**good, "lambda2": -0.1})
     with pytest.raises(ValueError):
-        Hyperparameters(omega=0.0, lambda2=0.1, phi1=0.0, phi2=1, nu1=1,
-                        nu2=1, phiX=1)
+        Hyperparameters(**{**good, "phi1": 0.0})
+    # no field may be NaN or infinite
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                Hyperparameters(**{**good, name: bad})
     # boundary: omega = pi/2 allowed, -pi/2 not
-    Hyperparameters(omega=math.pi / 2, lambda2=0, phi1=1, phi2=1, nu1=1,
-                    nu2=1, phiX=1)
+    Hyperparameters(**{**good, "omega": math.pi / 2, "lambda2": 0})
     with pytest.raises(ValueError):
-        Hyperparameters(omega=-math.pi / 2, lambda2=0, phi1=1, phi2=1, nu1=1,
-                        nu2=1, phiX=1)
+        Hyperparameters(**{**good, "omega": -math.pi / 2, "lambda2": 0})
 
 
 def test_rotation_identity_at_zero():
-    p = rotate_coords((3.7, -1.2), 0.0)
-    assert (p.s1, p.s2) == (3.7, -1.2)
+    np.testing.assert_array_equal(rotate_array([[3.7, -1.2]], 0.0),
+                                  [[3.7, -1.2]])
 
 
 def test_rotation_quarter_turn():
-    p = rotate_coords((1.0, 0.0), math.pi / 2)
-    assert p.s1 == pytest.approx(0.0, abs=1e-15)
-    assert p.s2 == pytest.approx(1.0, rel=1e-15)
+    p = rotate_array([[1.0, 0.0]], math.pi / 2)
+    assert p.shape == (1, 2)
+    assert p[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert p[0, 1] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_rotation_direct_formula():
     w = 0.3
-    p = rotate_coords((2.0, 5.0), w)
-    assert p.s1 == pytest.approx(math.cos(w) * 2.0 - math.sin(w) * 5.0,
+    p = rotate_array([[2.0, 5.0]], w)[0]
+    assert p[0] == pytest.approx(math.cos(w) * 2.0 - math.sin(w) * 5.0,
                                  rel=1e-14)
-    assert p.s2 == pytest.approx(math.sin(w) * 2.0 + math.cos(w) * 5.0,
+    assert p[1] == pytest.approx(math.sin(w) * 2.0 + math.cos(w) * 5.0,
                                  rel=1e-14)
 
 
@@ -95,42 +106,51 @@ def test_rotation_preserves_norm_and_matches_array():
         np.testing.assert_allclose(np.linalg.norm(out, axis=1),
                                    np.linalg.norm(pts, axis=1), rtol=1e-12)
         for i in range(6):
-            p = rotate_coords(pts[i], w)
-            assert p.s1 == pytest.approx(out[i, 0], abs=1e-12)
-            assert p.s2 == pytest.approx(out[i, 1], abs=1e-12)
+            p = rotate_array(pts[i:i + 1], w)[0]
+            assert p[0] == pytest.approx(out[i, 0], abs=1e-12)
+            assert p[1] == pytest.approx(out[i, 1], abs=1e-12)
+
+
+def test_matern_domain_errors():
+    # the kernels' ranges and smoothness are checked where they are set
+    good = dict(omega=0.0, lambda2=0.1, phi1=1, phi2=1, nu1=1, nu2=1, phiX=1)
+    for name in ("phi1", "phi2", "nu1", "nu2", "phiX"):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be > 0"):
+                Hyperparameters(**{**good, name: bad})
 
 
 def test_matern_zero_lag_is_one():
     for nu in (0.05, 0.5, 1.5, 7.0, 30.0):
-        assert matern_1d(0.0, 1.7, nu) == 1.0
+        assert matern(0.0, 1.7, nu) == 1.0
 
 
 def test_matern_exponential_special_case():
     # nu = 1/2 collapses to exp(-h/phi)
     for h in (0.1, 0.9, 3.4):
         for phi in (0.5, 2.0):
-            assert matern_1d(h, phi, 0.5) == pytest.approx(
+            assert matern(h, phi, 0.5) == pytest.approx(
                 math.exp(-h / phi), rel=1e-12)
 
 
 def test_matern_closed_forms():
     # nu = 3/2: (1+z) e^{-z} with z = sqrt(3) h / phi
     z = math.sqrt(3.0)
-    assert matern_1d(1.0, 1.0, 1.5) == pytest.approx((1 + z) * math.exp(-z),
-                                                     rel=1e-12)
-    assert matern_1d(1.0, 1.0, 1.5) == pytest.approx(0.4833577245965078,
-                                                     rel=1e-12)
+    assert matern(1.0, 1.0, 1.5) == pytest.approx((1 + z) * math.exp(-z),
+                                                  rel=1e-12)
+    assert matern(1.0, 1.0, 1.5) == pytest.approx(0.4833577245965078,
+                                                  rel=1e-12)
     # nu = 5/2: (1 + z + z^2/3) e^{-z} with z = sqrt(5) h / phi
     for h, phi in ((1.0, 1.0), (2.0, 1.5)):
         z = math.sqrt(5.0) * h / phi
         want = (1.0 + z + z * z / 3.0) * math.exp(-z)
-        assert matern_1d(h, phi, 2.5) == pytest.approx(want, rel=1e-12)
+        assert matern(h, phi, 2.5) == pytest.approx(want, rel=1e-12)
 
 
 def test_matern_strictly_decreasing():
     hs = np.linspace(0.0, 12.0, 120)
     for nu in (0.1, 0.5, 1.5, 6.0):
-        vals = matern_1d(hs, 2.0, nu)
+        vals = _matern_values(hs, 2.0, nu)
         assert np.all(np.diff(vals) < 0.0)
         assert np.all(vals > 0.0)
         assert np.all(vals <= 1.0)
@@ -140,22 +160,13 @@ def test_matern_gaussian_limit():
     # large nu tends to exp(-h^2 / (2 phi^2)); 2% at nu = 50
     for h in (0.3, 0.8, 1.5):
         lim = math.exp(-h * h / 2.0)
-        assert matern_1d(h, 1.0, 50.0) == pytest.approx(lim, rel=0.02)
+        assert matern(h, 1.0, 50.0) == pytest.approx(lim, rel=0.02)
 
 
 def test_matern_extreme_smoothness_stable():
-    vals = matern_1d(np.linspace(0, 5, 50), 1.0, 30.0)
+    vals = _matern_values(np.linspace(0, 5, 50), 1.0, 30.0)
     assert np.all(np.isfinite(vals))
     assert np.all((vals >= 0.0) & (vals <= 1.0))
-
-
-def test_matern_domain_errors():
-    with pytest.raises(ValueError):
-        matern_1d(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        matern_1d(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        matern_1d(-0.5, 1.0, 1.0)
 
 
 def _matern_kv_reference(h, phi, nu):
@@ -196,50 +207,36 @@ def test_matern_matches_kv_reference():
     assert worst <= 1e-12
 
 
-def test_intensity_kernel_values():
-    assert intensity_kernel(23.0, 23.0, 5.0) == 1.0
-    assert intensity_kernel(10.0, 15.0, 5.0) == pytest.approx(math.exp(-1.0),
-                                                              rel=1e-14)
-    assert intensity_kernel(20.0, 25.0, 10.0) == pytest.approx(
+def test_intensity_factor_values():
+    th5 = dataclasses.replace(THETA, phiX=5.0)
+    th10 = dataclasses.replace(THETA, phiX=10.0)
+    assert intensity_only(th5, 23.0, 23.0) == 1.0
+    assert intensity_only(th5, 10.0, 15.0) == pytest.approx(math.exp(-1.0),
+                                                           rel=1e-14)
+    assert intensity_only(th10, 20.0, 25.0) == pytest.approx(
         math.exp(-0.25), rel=1e-14)
-    assert intensity_kernel(20.0, 25.0, 10.0) == intensity_kernel(
-        25.0, 20.0, 10.0)
-    with pytest.raises(ValueError):
-        intensity_kernel(1.0, 2.0, 0.0)
-
-
-def test_same_record_rules():
-    a = kp("ev1", 1.0, 2.0, 25.0)
-    assert same_record(a, kp("ev1", 1.0, 2.0, 25.0))
-    assert same_record(a, kp("ev1", 1.0 + 0.5 * COINCIDENCE_TOL, 2.0, 25.0))
-    assert not same_record(a, kp("ev2", 1.0, 2.0, 25.0))
-    assert not same_record(a, kp("ev1", 1.0, 2.0, 25.0001))
-    assert not same_record(a, kp("ev1", 1.0 + 1e-6, 2.0, 25.0))
-
-
-def test_composite_cross_event_is_zero():
-    a = kp("ev1", 1.0, 2.0, 25.0)
-    b = kp("ev2", 1.0, 2.0, 25.0)
-    assert composite_correlation(a, b, THETA) == 0.0
-
-
-def test_composite_same_record_gets_nugget():
-    a = kp("ev1", 1.0, 2.0, 25.0)
-    assert composite_correlation(a, a, THETA) == 1.0 + THETA.lambda2
-    # the nugget branch ignores every other hyperparameter
-    other = Hyperparameters(omega=-0.9, lambda2=0.36, phi1=9.0, phi2=0.1,
-                            nu1=3.0, nu2=0.05, phiX=2.0)
-    assert composite_correlation(a, a, other) == 1.0 + THETA.lambda2
+    assert intensity_only(th10, 20.0, 25.0) == intensity_only(
+        th10, 25.0, 20.0)
 
 
 def test_composite_coincident_distinct_records():
     # same place, different simulated intensity: smooth correlation, no nugget
-    a = kp("ev1", 1.0, 2.0, 25.0)
-    b = kp("ev1", 1.0, 2.0, 30.0)
-    want = intensity_kernel(25.0, 30.0, THETA.phiX)
-    assert composite_correlation(a, b, THETA) == pytest.approx(want,
-                                                               rel=1e-14)
-    assert composite_correlation(a, b, THETA) < 1.0
+    want = math.exp(-((25.0 - 30.0) / THETA.phiX) ** 2)
+    got = intensity_only(THETA, 25.0, 30.0)
+    assert got == pytest.approx(want, rel=1e-14)
+    assert got < 1.0
+    m = correlation_matrix_arrays(THETA, [[1.0, 2.0], [1.0, 2.0]],
+                                  [25.0, 30.0])
+    assert m[0, 1] == m[1, 0] == got
+    np.testing.assert_array_equal(np.diag(m), 1.0 + THETA.lambda2)
+
+
+def test_composite_single_record_gets_nugget():
+    other = Hyperparameters(omega=-0.9, lambda2=0.36, phi1=9.0, phi2=0.1,
+                            nu1=3.0, nu2=0.05, phiX=2.0)
+    for th in (THETA, other):
+        m = correlation_matrix_arrays(th, [[1.0, 2.0]], [25.0])
+        assert m[0, 0] == 1.0 + THETA.lambda2
 
 
 def test_composite_factorizes():
@@ -248,30 +245,23 @@ def test_composite_factorizes():
         th = random_theta(rng)
         p1, p2 = rng.normal(scale=4.0, size=(2, 2))
         x1, x2 = rng.uniform(16.0, 45.0, size=2)
-        a = kp("ev", p1[0], p1[1], float(x1))
-        b = kp("ev", p2[0], p2[1], float(x2))
-        want = (matern_1d(abs(p1[0] - p2[0]), th.phi1, th.nu1)
-                * matern_1d(abs(p1[1] - p2[1]), th.phi2, th.nu2)
-                * intensity_kernel(float(x1), float(x2), th.phiX))
-        got = composite_correlation(a, b, th)
+        want = product_kernel(th, p1, float(x1), p2, float(x2))
+        got = correlation_block(th, [p1], [x1], [p2], [x2])[0, 0]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
-        assert composite_correlation(b, a, th) == got
+        assert correlation_block(th, [p2], [x2], [p1], [x1])[0, 0] == got
 
 
 def test_correlation_matrix_single_point():
-    pts = [kp("ev", 0.0, 0.0, 20.0)]
-    np.testing.assert_allclose(correlation_matrix(pts, THETA, True),
-                               [[1.0 + THETA.lambda2]])
-    np.testing.assert_allclose(correlation_matrix(pts, THETA, False), [[1.0]])
+    m = correlation_matrix_arrays(THETA, [[0.0, 0.0]], [20.0])
+    assert m.shape == (1, 1)
+    np.testing.assert_allclose(m, [[1.0 + THETA.lambda2]])
 
 
 def test_correlation_matrix_coincident_pair():
     # identical records in one matrix stay distinct rows: off-diagonal is
     # the smooth value 1, nugget only on the diagonal
-    pts = [kp("ev", 1.0, 1.0, 22.0), kp("ev", 1.0, 1.0, 22.0)]
-    m = correlation_matrix(pts, THETA, include_nugget=False)
-    np.testing.assert_allclose(m, np.ones((2, 2)), atol=1e-15)
-    m = correlation_matrix(pts, THETA, include_nugget=True)
+    m = correlation_matrix_arrays(THETA, [[1.0, 1.0], [1.0, 1.0]],
+                                  [22.0, 22.0])
     want = np.array([[1.36, 1.0], [1.0, 1.36]])
     np.testing.assert_allclose(m, want, atol=1e-15)
 
@@ -283,47 +273,29 @@ def test_correlation_matrix_matches_scalar_kernel():
         n = int(rng.integers(2, 7))
         loc = rng.normal(scale=5.0, size=(n, 2))
         x = rng.uniform(16, 40, size=n)
-        pts = [kp("ev", loc[i, 0], loc[i, 1], float(x[i])) for i in range(n)]
-        m = correlation_matrix(pts, th, include_nugget=True)
+        m = correlation_matrix_arrays(th, loc, x)
         for i in range(n):
             for j in range(n):
                 if i == j:
                     assert m[i, j] == pytest.approx(1.0 + th.lambda2,
                                                     rel=1e-14)
                 else:
-                    want = composite_correlation(pts[i], pts[j], th)
-                    assert m[i, j] == pytest.approx(want, rel=1e-10,
+                    want = product_kernel(th, loc[i], float(x[i]), loc[j],
+                                          float(x[j]))
+                    assert m[i, j] == pytest.approx(want, rel=1e-12,
                                                     abs=1e-15)
         np.testing.assert_allclose(m, m.T, atol=0)
-        # array route agrees with the point route
-        ma = correlation_matrix_arrays(th, loc, x, include_nugget=True)
-        np.testing.assert_allclose(ma, m, rtol=1e-12, atol=1e-15)
-
-
-def test_correlation_matrix_block_diagonal_across_events():
-    pts = ([kp("a", float(i), 0.0, 20.0 + i) for i in range(3)]
-           + [kp("b", float(i), 0.5, 21.0 + i) for i in range(2)])
-    m = correlation_matrix(pts, THETA, include_nugget=True)
-    assert np.all(m[:3, 3:] == 0.0)
-    assert np.all(m[3:, :3] == 0.0)
-    # each block equals the matrix built from that event alone
-    np.testing.assert_allclose(m[:3, :3],
-                               correlation_matrix(pts[:3], THETA, True))
-    np.testing.assert_allclose(m[3:, 3:],
-                               correlation_matrix(pts[3:], THETA, True))
 
 
 def test_correlation_matrix_nugget_only_on_diagonal():
     rng = np.random.default_rng(31)
     loc = rng.normal(scale=3.0, size=(6, 2))
     x = rng.uniform(16, 40, size=6)
-    pts = [kp("ev", loc[i, 0], loc[i, 1], float(x[i])) for i in range(6)]
-    with_n = correlation_matrix(pts, THETA, include_nugget=True)
-    without = correlation_matrix(pts, THETA, include_nugget=False)
-    off = ~np.eye(6, dtype=bool)
-    np.testing.assert_allclose(with_n[off], without[off], atol=0)
-    np.testing.assert_allclose(np.diag(with_n) - np.diag(without),
-                               np.full(6, THETA.lambda2), atol=1e-15)
+    m = correlation_matrix_arrays(THETA, loc, x)
+    np.testing.assert_allclose(squareform(m, checks=False),
+                               smooth_correlation(THETA, loc, x), atol=0)
+    np.testing.assert_allclose(np.diag(m) - 1.0, np.full(6, THETA.lambda2),
+                               atol=1e-15)
 
 
 def test_correlation_matrix_positive_definite():
@@ -332,11 +304,11 @@ def test_correlation_matrix_positive_definite():
         th = random_theta(rng)
         loc = rng.uniform(0, 30, size=(n, 2))
         x = rng.uniform(16, 45, size=n)
-        m = correlation_matrix_arrays(th, loc, x, include_nugget=True)
+        m = correlation_matrix_arrays(th, loc, x)
         w = np.linalg.eigvalsh(m)
         # smooth part is PSD, so the nugget bounds the spectrum from below
         assert w.min() >= th.lambda2 - 1e-8 * n
-        m0 = correlation_matrix_arrays(th, loc, x, include_nugget=False)
+        m0 = squareform(smooth_correlation(th, loc, x)) + np.eye(n)
         assert np.linalg.eigvalsh(m0).min() >= -1e-8 * n
 
 
@@ -351,15 +323,8 @@ def test_correlation_block_matches_scalar():
     assert blk.shape == (3, 4)
     for i in range(3):
         for j in range(4):
-            pa = kp("ev", la[i, 0], la[i, 1], float(xa[i]))
-            pb = kp("ev", lb[j, 0], lb[j, 1], float(xb[j]))
-            # smooth kernel even where the points coincide
-            want = (matern_1d(abs(la[i, 0] - lb[j, 0]), th.phi1, th.nu1)
-                    * matern_1d(abs(la[i, 1] - lb[j, 1]), th.phi2, th.nu2)
-                    * intensity_kernel(float(xa[i]), float(xb[j]), th.phiX))
+            want = product_kernel(th, la[i], float(xa[i]), lb[j], float(xb[j]))
             assert blk[i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
-            assert want == pytest.approx(
-                composite_correlation(pa, pb, th), rel=1e-12, abs=1e-15)
 
 
 def test_correlation_block_coincident_is_one_not_nugget():
@@ -367,15 +332,13 @@ def test_correlation_block_coincident_is_one_not_nugget():
     assert blk[0, 0] == pytest.approx(1.0, rel=1e-14)
 
 
-def test_cross_correlation_vector():
-    pts = [kp("a", 0.0, 0.0, 20.0), kp("a", 1.0, 1.0, 22.0),
-           kp("b", 0.0, 0.0, 20.0)]
-    target = kp("a", 0.0, 0.0, 20.0)
-    v = cross_correlation_vector(target, pts, THETA)
+def test_cross_correlation_row():
+    # one target against an event's records: the prediction weights
+    loc = np.array([[0.0, 0.0], [1.0, 1.0]])
+    x = np.array([20.0, 22.0])
+    v = correlation_block(THETA, [[0.0, 0.0]], [20.0], loc, x)[0]
     assert v[0] == pytest.approx(1.0, rel=1e-14)  # coincident, no nugget
-    assert v[2] == 0.0  # other event masked
-    want = composite_correlation(target, pts[1], THETA)
+    want = product_kernel(THETA, (0.0, 0.0), 20.0, loc[1], 22.0)
     assert v[1] == pytest.approx(want, rel=1e-12)
-    far = kp("a", 500.0, 500.0, 20.0)
-    vfar = cross_correlation_vector(far, pts, THETA)
+    vfar = correlation_block(THETA, [[500.0, 500.0]], [20.0], loc, x)[0]
     assert abs(vfar[0]) < 1e-12 and abs(vfar[1]) < 1e-12

@@ -8,9 +8,7 @@ from scipy import stats
 
 from fieldcal.covariance import (
     Hyperparameters,
-    KernelPoint,
-    SpacePoint,
-    composite_correlation,
+    correlation_block,
     correlation_matrix_arrays,
     rotate_array,
 )
@@ -40,8 +38,7 @@ def gp_dataset(rng, k, event="ev", theta=THETA, prior=PRIOR, sigma2=9.0):
     """Draw one event's pairs from the model itself."""
     loc = rng.uniform(0, 15, size=(k, 2))
     x = rng.uniform(16, 40, size=k)
-    a_mat = correlation_matrix_arrays(theta, rotate_array(loc, theta.omega),
-                                      x, include_nugget=True)
+    a_mat = correlation_matrix_arrays(theta, rotate_array(loc, theta.omega), x)
     beta = np.array([1.0, 0.9, 0.001])[:prior.q]
     h = np.column_stack([x ** i for i in range(prior.q)])
     y = h @ beta + cholesky(sigma2 * a_mat).lower @ rng.standard_normal(k)
@@ -209,7 +206,6 @@ def test_semivariogram_three_points_by_hand():
     h = np.column_stack([x ** i for i in range(3)])
     e = y - h @ ef.beta_hat
     loc_t = rotate_array(loc, THETA.omega)
-    pts = [KernelPoint("ev", SpacePoint(*loc_t[i]), x[i]) for i in range(3)]
     pairs = [(0, 1), (0, 2), (1, 2)]
     h1 = [abs(loc_t[i, 0] - loc_t[j, 0]) for i, j in pairs]
     order = np.argsort(h1)
@@ -217,7 +213,8 @@ def test_semivariogram_three_points_by_hand():
         i, j = pairs[pair_k]
         assert table.empirical[bin_k] == pytest.approx(
             0.5 * (e[i] - e[j]) ** 2, rel=1e-10)
-        c = composite_correlation(pts[i], pts[j], THETA)
+        c = correlation_block(THETA, loc_t[[i]], x[[i]], loc_t[[j]],
+                              x[[j]])[0, 0]
         want_model = ef.sigma_hat2 * (1.0 + THETA.lambda2 - c)
         assert table.model[bin_k] == pytest.approx(want_model, rel=1e-10)
         assert table.bin_center[bin_k] == pytest.approx(h1[pair_k],

@@ -19,7 +19,6 @@ from fieldcal.inference import (
     TooFewObservations,
     UnknownEvent,
     _wrap_angle,
-    basis,
     basis_matrix,
     default_prior,
     default_theta0,
@@ -44,11 +43,11 @@ def make_dataset(rng, k, event="ev", scale=8.0):
 
 
 def test_basis_vectors():
-    np.testing.assert_array_equal(basis(3.0, 1), [1.0])
-    np.testing.assert_array_equal(basis(3.0, 2), [1.0, 3.0])
-    np.testing.assert_array_equal(basis(3.0, 3), [1.0, 3.0, 9.0])
+    np.testing.assert_array_equal(basis_matrix([3.0], 1)[0], [1.0])
+    np.testing.assert_array_equal(basis_matrix([3.0], 2)[0], [1.0, 3.0])
+    np.testing.assert_array_equal(basis_matrix([3.0], 3)[0], [1.0, 3.0, 9.0])
     with pytest.raises(ValueError):
-        basis(3.0, 4)
+        basis_matrix([3.0], 4)
     m = basis_matrix([2.0, 5.0], 3)
     np.testing.assert_array_equal(m, [[1, 2, 4], [1, 5, 25]])
     with pytest.raises(ValueError):
@@ -82,8 +81,7 @@ def test_event_statistics_matches_quadrature():
                           d=int(rng.integers(1, 4)), basis_degree=0)
         ef = event_statistics(ds, THETA, prior)
         a_mat = correlation_matrix_arrays(
-            THETA, rotate_array(ds.locations, THETA.omega), ds.x,
-            include_nugget=True)
+            THETA, rotate_array(ds.locations, THETA.omega), ds.x)
         e_beta, e_inv_sig2 = nig_regression_quadrature(
             ds.y, np.ones(k), a_mat, 1.0, float(prior.B[0, 0]),
             prior.a, prior.d)
@@ -207,8 +205,7 @@ def test_log_posterior_matches_quadrature_evidence_ratio():
     log_ev = []
     for th in (THETA, th2):
         a_mat = correlation_matrix_arrays(
-            th, rotate_array(ds.locations, th.omega), ds.x,
-            include_nugget=True)
+            th, rotate_array(ds.locations, th.omega), ds.x)
         log_ev.append(nig_log_evidence_quadrature(
             ds.y, np.ones(len(ds)), a_mat, 1.0, 1.3, 1.7, 2))
     assert delta_prod == pytest.approx(log_ev[0] - log_ev[1], abs=5e-6)
@@ -257,11 +254,9 @@ def test_angle_periodicity_of_model():
     rng = np.random.default_rng(37)
     loc = rng.uniform(0, 10, size=(6, 2))
     x = rng.uniform(16, 40, size=6)
-    m1 = correlation_matrix_arrays(THETA, rotate_array(loc, THETA.omega), x,
-                                   include_nugget=True)
+    m1 = correlation_matrix_arrays(THETA, rotate_array(loc, THETA.omega), x)
     m2 = correlation_matrix_arrays(
-        THETA, rotate_array(loc, THETA.omega - math.pi), x,
-        include_nugget=True)
+        THETA, rotate_array(loc, THETA.omega - math.pi), x)
     np.testing.assert_allclose(m1, m2, rtol=1e-12)
 
 
@@ -381,6 +376,26 @@ def test_artifact_errors(tmp_path):
     bad.write_text(text.replace("theta ", "thetaX ", 1))
     with pytest.raises(ArtifactError):
         load_fit(bad)
+
+
+def test_artifact_with_non_finite_theta_is_rejected(tmp_path):
+    rng = np.random.default_rng(67)
+    prior = default_prior()
+    ef = event_statistics(make_dataset(rng, 8), THETA, prior)
+    mf = ModelFit(theta=THETA, events=(ef,), prior=prior, log_posterior=0.0)
+    path = tmp_path / "fit.out"
+    save_fit(mf, path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("theta "))
+    names = ("omega", "lambda2", "phi1", "phi2", "nu1", "nu2", "phiX")
+    for field, name in enumerate(names[1:], start=2):
+        for token in ("nan", "inf", "-inf"):
+            parts = lines[at].split()
+            parts[field] = token
+            path.write_text("\n".join(lines[:at] + [" ".join(parts)]
+                                      + lines[at + 1:]) + "\n")
+            with pytest.raises(ArtifactError, match=f"{name} must be finite"):
+                load_fit(path)
 
 
 def test_model_fit_requires_events():
