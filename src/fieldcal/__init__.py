@@ -9,18 +9,17 @@ from .covariance import (Hyperparameters, correlation_block,
 from .dataio import (EventDataset, GridField, StationSet, interpolate_field,
                      load_grid, load_stations, pair_and_threshold, rmse,
                      save_grid)
-from .diagnostics import (ValidationReport, VariogramTable, mahalanobis_test,
-                          pivoted_errors, semivariogram, standardized_errors,
+from .diagnostics import (ValidationReport, VariogramTable, semivariogram,
                           validation_report)
 from .inference import (EventFit, ModelFit, PriorSpec, default_prior,
                         event_statistics, fit, load_fit, log_posterior_theta,
                         save_fit)
 from .numerics import (CholeskyFactor, OptimizerOptions,
-                       PivotedCholeskyFactor, bessel_k, cholesky, f_cdf,
-                       nelder_mead, pivoted_cholesky, std_normal_quantile,
+                       PivotedCholeskyFactor, cholesky, nelder_mead,
+                       pivoted_cholesky, std_normal_quantile,
                        student_t_quantile)
-from .prediction import (FieldRealization, PosteriorField, posterior_field,
-                         predict_grid, predictive_measurements, sample_field)
+from .prediction import (PosteriorField, posterior_field, predict_grid,
+                         predictive_measurements, sample_field)
 
 __all__ = [
     "__version__",
@@ -28,14 +27,13 @@ __all__ = [
     "rotate_array", "smooth_correlation",
     "EventDataset", "GridField", "StationSet", "interpolate_field",
     "load_grid", "load_stations", "pair_and_threshold", "rmse", "save_grid",
-    "ValidationReport", "VariogramTable", "mahalanobis_test",
-    "pivoted_errors", "semivariogram", "standardized_errors",
+    "ValidationReport", "VariogramTable", "semivariogram",
     "validation_report",
     "EventFit", "ModelFit", "PriorSpec", "default_prior",
     "event_statistics", "fit", "load_fit", "log_posterior_theta", "save_fit",
-    "CholeskyFactor", "OptimizerOptions", "PivotedCholeskyFactor", "bessel_k",
-    "cholesky", "f_cdf", "nelder_mead", "pivoted_cholesky",
+    "CholeskyFactor", "OptimizerOptions", "PivotedCholeskyFactor",
+    "cholesky", "nelder_mead", "pivoted_cholesky",
     "std_normal_quantile", "student_t_quantile",
-    "FieldRealization", "PosteriorField", "posterior_field", "predict_grid",
+    "PosteriorField", "posterior_field", "predict_grid",
     "predictive_measurements", "sample_field",
 ]

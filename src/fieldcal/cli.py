@@ -355,7 +355,7 @@ def cmd_validate(args) -> int:
                              f"{report.mahalanobis_raw:.6g}",
                              f"{report.mahalanobis_pvalue:.6g}",
                              f"{rmse(hold.y, hold.x):.6g}",
-                             f"{rmse(hold.y, _holdout_mean(sub, hold)):.6g}"])
+                             f"{rmse(hold.y, report.mean):.6g}"])
     if not summary_rows:
         raise InsufficientStations("no fitted event matched the config grids")
     path = os.path.join(cfg.output_dir, "validate_summary.csv")
@@ -366,12 +366,9 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _holdout_mean(sub: ModelFit, hold) -> np.ndarray:
-    pf = posterior_field(sub, hold.event, (hold.locations, hold.x))
-    return pf.mean
-
-
 def cmd_variogram(args) -> int:
+    if args.bins < 3:
+        raise ConfigError(f"--bins must be >= 3, got {args.bins}")
     result = load_fit(args.fit)
     os.makedirs(args.outdir, exist_ok=True)
     ef = result.event(args.event)
@@ -390,6 +387,8 @@ def cmd_variogram(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"-n must be >= 1, got {args.n}")
     result = load_fit(args.fit)
     os.makedirs(args.outdir, exist_ok=True)
     loc, x = load_points(args.points)
@@ -401,12 +400,8 @@ def cmd_simulate(args) -> int:
     comments.append(f"seed {args.seed} n {args.n}")
     header = ["s1", "s2", "x_sim", "post_mean"] + [
         f"real_{k + 1}" for k in range(args.n)]
-    rows = []
-    for i in range(len(pf.mean)):
-        row = [f"{pf.locations[i, 0]:.6g}", f"{pf.locations[i, 1]:.6g}",
-               f"{pf.intensities[i]:.6g}", f"{pf.mean[i]:.6g}"]
-        row.extend(f"{d.values[i]:.6g}" for d in draws)
-        rows.append(row)
+    table = np.column_stack([pf.locations, pf.intensities, pf.mean, draws.T])
+    rows = [[f"{v:.6g}" for v in row] for row in table.tolist()]
     path = os.path.join(args.outdir, f"simulate_{args.event}.csv")
     _write_csv(path, comments, header, rows)
     log.info("%d realization(s) written to %s", args.n, path)

@@ -3,7 +3,8 @@
 Two families: a binned semivariogram comparing empirical residual
 dependence against the fitted correlation model, and held-out
 validation checks (standardized errors, pivoted decorrelated errors,
-and a Mahalanobis statistic referenced to an F distribution).
+and a Mahalanobis statistic referenced to an F distribution), all read
+off one predictive distribution by :func:`validation_report`.
 """
 
 from __future__ import annotations
@@ -147,67 +148,11 @@ def _check_training(fit: ModelFit, train: EventDataset):
     return ef
 
 
-def standardized_errors(fit: ModelFit, train: EventDataset,
-                        validation: EventDataset) -> np.ndarray:
-    """Held-out residuals scaled by their own predictive SD.
-
-    Under a well-specified model these are approximately independent
-    standard normal (marginally), so about 5% should fall outside
-    +/-1.96.
-    """
-    _check_training(fit, train)
-    pf = predictive_measurements(fit, validation.event,
-                                 (validation.locations, validation.x),
-                                 full_cov=False)
-    return (validation.y - pf.mean) / pf.sd
-
-
-def pivoted_errors(fit: ModelFit, train: EventDataset,
-                   validation: EventDataset):
-    """Decorrelated held-out errors, in pivot order.
-
-    Solves G e = (Y - m) with G from the pivoted Cholesky factor of the
-    joint predictive covariance. Returns (errors, original_indices):
-    ``original_indices[k]`` is the validation row the k-th error belongs
-    to. Jointly standard normal under the model.
-    """
-    if len(validation) < 2:
-        raise ValueError("pivoted_errors needs at least 2 validation points")
-    _check_training(fit, train)
-    pf = predictive_measurements(fit, validation.event,
-                                 (validation.locations, validation.x),
-                                 full_cov=True)
-    factor = pivoted_cholesky(pf.covariance)
-    epc = factor.decorrelate(validation.y - pf.mean)
-    return epc, factor.permutation.copy()
-
-
-def mahalanobis_test(fit: ModelFit, train: EventDataset,
-                     validation: EventDataset):
-    """Joint calibration test of the held-out predictive distribution.
-
-    D = (Y - m)^T V^{-1} (Y - m) / n_holdout is referenced to
-    F(n_holdout, K - q); returns (D, upper-tail p-value).
-    """
-    ef = _check_training(fit, train)
-    q = fit.prior.q
-    df2 = ef.K - q
-    if df2 <= 0:
-        raise ValueError("training degrees of freedom must be positive")
-    pf = predictive_measurements(fit, validation.event,
-                                 (validation.locations, validation.x),
-                                 full_cov=True)
-    resid = validation.y - pf.mean
-    n_tilde = len(resid)
-    d_mh = float(resid @ cholesky(pf.covariance).solve(resid)) / n_tilde
-    p = f_sf(d_mh, n_tilde, df2)
-    return d_mh, p
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Bundle of the held-out validation diagnostics for one event."""
 
+    mean: np.ndarray               # predictive mean at the holdout
     standardized_errors: np.ndarray
     pivoted_errors: np.ndarray
     pivot_indices: np.ndarray
@@ -219,8 +164,8 @@ class ValidationReport:
 
     def __post_init__(self):
         n = len(self.standardized_errors)
-        if not (len(self.pivoted_errors) == len(self.pivot_indices)
-                == len(self.qq_pairs) == n):
+        if not (len(self.mean) == len(self.pivoted_errors)
+                == len(self.pivot_indices) == len(self.qq_pairs) == n):
             raise ValueError("report vectors must share the holdout length")
         if not 0.0 <= self.mahalanobis_pvalue <= 1.0:
             raise ValueError("p-value must lie in [0, 1]")
@@ -228,20 +173,44 @@ class ValidationReport:
 
 def validation_report(fit: ModelFit, train: EventDataset,
                       validation: EventDataset) -> ValidationReport:
-    """Run all held-out diagnostics and package the results."""
-    std = standardized_errors(fit, train, validation)
-    epc, piv = pivoted_errors(fit, train, validation)
-    d_mh, p = mahalanobis_test(fit, train, validation)
-    n = len(std)
+    """Held-out diagnostics from one predictive distribution of the holdout.
+
+    With r = Y - m and V the joint predictive covariance of the held-out
+    measurements:
+
+    - standardized errors r / sd, each marginally standard normal, so
+      about 5% fall outside +/-1.96;
+    - pivoted errors e solving G e = r, with G G^T = V from the pivoted
+      Cholesky factor, in pivot order (``pivot_indices[k]`` is the
+      holdout row of the k-th error); jointly standard normal;
+    - the Mahalanobis statistic D = r^T V^{-1} r / n = ||e||^2 / n,
+      referenced to F(n, K - q) for its upper-tail p-value.
+
+    Any n >= 1 works: at n = 1 the pivoted error is the standardized
+    error and F(1, K - q) is the squared t test.
+    """
+    ef = _check_training(fit, train)
+    df2 = ef.K - fit.prior.q
+    if df2 <= 0:
+        raise ValueError("training degrees of freedom must be positive")
+    pf = predictive_measurements(fit, validation.event,
+                                 (validation.locations, validation.x),
+                                 full_cov=True)
+    resid = validation.y - pf.mean
+    std = resid / pf.sd
+    factor = pivoted_cholesky(pf.covariance)
+    epc = factor.decorrelate(resid)
+    n = len(resid)
+    d_mh = float(epc @ epc) / n
     theo = np.array([std_normal_quantile((i - 0.5) / n) for i in range(1, n + 1)])
-    qq = np.column_stack([theo, np.sort(epc)])
-    ef = fit.event(train.event)
-    return ValidationReport(standardized_errors=std, pivoted_errors=epc,
-                            pivot_indices=piv, qq_pairs=qq,
+    return ValidationReport(mean=pf.mean, standardized_errors=std,
+                            pivoted_errors=epc,
+                            pivot_indices=factor.permutation,
+                            qq_pairs=np.column_stack([theo, np.sort(epc)]),
                             mahalanobis=d_mh,
                             mahalanobis_raw=float(np.sum(std ** 2)),
-                            mahalanobis_pvalue=p,
-                            df_pair=(n, ef.K - fit.prior.q))
+                            mahalanobis_pvalue=f_sf(d_mh, n, df2),
+                            df_pair=(n, df2))
 
 
 def variogram_csv_rows(table: VariogramTable):

@@ -1,16 +1,14 @@
 """Shared numerical kernels.
 
-Modified Bessel function of the second kind, (pivoted) Cholesky
-factorization with triangular solves, a restartable Nelder-Mead driver,
-and reference-distribution helpers (standard normal, Student-t,
-F-Snedecor). Everything is a pure function of its arguments and safe to
-call concurrently.
+(Pivoted) Cholesky factorization with triangular solves, a restartable
+Nelder-Mead driver, and reference-distribution helpers (standard
+normal, Student-t, F-Snedecor upper tail). Everything is a pure
+function of its arguments and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,48 +35,10 @@ class NonFiniteObjective(NumericsError):
     """Objective returned a non-finite value at the starting point."""
 
 
-class UnderflowWarning(RuntimeWarning):
-    """A special-function result underflowed to zero."""
-
-
 # Relative tolerance for treating an "approximately symmetric" input as
 # symmetric, and the single-shot jitter scale for near-singular factorizations.
 SYMMETRY_RTOL = 1e-10
 JITTER_RTOL = 1e-8
-
-
-def bessel_k(nu, x):
-    """Modified Bessel function of the second kind, K_nu(x).
-
-    Parameters
-    ----------
-    nu : float or array_like
-        Order, > 0.
-    x : float or array_like
-        Argument, > 0. For x beyond ~700 the result underflows to 0; the
-        value 0 is returned and an :class:`UnderflowWarning` is emitted.
-
-    Returns
-    -------
-    float or ndarray
-        K_nu(x), broadcast over the inputs.
-    """
-    nu_arr = np.asarray(nu, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(nu_arr <= 0.0) or not np.all(np.isfinite(nu_arr)):
-        raise ValueError("bessel_k: order nu must be finite and > 0")
-    if np.any(x_arr <= 0.0) or not np.all(np.isfinite(x_arr)):
-        raise ValueError("bessel_k: argument x must be finite and > 0")
-    out = special.kv(nu_arr, x_arr)
-    if np.any(out == 0.0):
-        warnings.warn("bessel_k underflowed to 0 for large x", UnderflowWarning,
-                      stacklevel=2)
-    if np.any(~np.isfinite(out)):
-        warnings.warn("bessel_k overflowed for extreme (nu, x)", RuntimeWarning,
-                      stacklevel=2)
-    if np.isscalar(nu) and np.isscalar(x):
-        return float(out)
-    return out
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
@@ -258,18 +218,6 @@ def nelder_mead(objective, x0, opts: OptimizerOptions):
         if float(res.fun) < best_f:
             best_x, best_f = np.asarray(res.x, dtype=float), float(res.fun)
     return best_x, best_f
-
-
-def f_cdf(x, d1: int, d2: int) -> float:
-    """CDF of the F-Snedecor distribution via the regularized incomplete beta."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError("f_cdf: degrees of freedom must be >= 1")
-    if x < 0.0:
-        raise ValueError("f_cdf: x must be >= 0")
-    if x == 0.0:
-        return 0.0
-    z = d1 * x / (d1 * x + d2)
-    return float(special.betainc(0.5 * d1, 0.5 * d2, z))
 
 
 def f_sf(x, d1: int, d2: int) -> float:

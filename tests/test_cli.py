@@ -273,6 +273,42 @@ def test_validate_holdout_bounds(corpus_dir, fitted):
                      "--set", "holdout=45"]) == 2
 
 
+def test_validate_single_holdout(corpus_dir, fitted, tmp_path):
+    rc = cli.main(["validate", "-f", str(fitted),
+                   "-c", str(corpus_dir / "run.cfg"),
+                   "--set", "holdout=1", "--set", f"output_dir={tmp_path}"])
+    assert rc == 0
+    summary = (tmp_path / "validate_summary.csv").read_text().splitlines()
+    data = [l.split(",") for l in summary if l.startswith("ev0")]
+    assert len(data) == 2 and all(row[1] == "1" for row in data)
+    for ev in ("ev00", "ev01"):
+        lines = (tmp_path / f"validate_{ev}_pivoted.csv").read_text()
+        rows = [l for l in lines.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 1
+
+
+def test_simulate_sample_count_is_a_config_error(corpus_dir, fitted,
+                                                 tmp_path, caplog):
+    for n in ("0", "-3"):
+        rc = cli.main(["simulate", "-f", str(fitted), "-e", "ev00",
+                       "--points", str(corpus_dir / "targets.csv"),
+                       "-n", n, "-o", str(tmp_path)])
+        assert rc == 2
+    assert not (tmp_path / "simulate_ev00.csv").exists()
+    assert "ConfigError" in caplog.text
+    assert "internal error" not in caplog.text
+
+
+def test_variogram_bin_count_is_a_config_error(corpus_dir, fitted, tmp_path,
+                                              caplog):
+    rc = cli.main(["variogram", "-f", str(fitted), "-e", "ev00",
+                   "--bins", "2", "-o", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "variogram_ev00_h1.csv").exists()
+    assert "ConfigError" in caplog.text
+    assert "internal error" not in caplog.text
+
+
 def test_variogram_deterministic_output(corpus_dir, fitted, tmp_path):
     argv = ["variogram", "-f", str(fitted), "-e", "ev00", "--var", "h1",
             "--bins", "5", "--seed", "3", "-o", str(tmp_path)]

@@ -17,16 +17,15 @@ from fieldcal.diagnostics import (
     EmptyBin,
     ValidationReport,
     VariogramTable,
-    mahalanobis_test,
-    pivoted_errors,
     semivariogram,
-    standardized_errors,
     validation_report,
     variogram_csv_rows,
 )
 from fieldcal.inference import ModelFit, PriorSpec, event_statistics, log_posterior_theta
 from fieldcal.numerics import cholesky, pivoted_cholesky
-from fieldcal.prediction import predictive_measurements
+from fieldcal.prediction import posterior_field, predictive_measurements
+
+from _oracles import validation_reference
 
 THETA = Hyperparameters(omega=0.15, lambda2=0.5, phi1=3.0, phi2=2.2,
                         nu1=1.2, nu2=0.9, phiX=10.0)
@@ -65,11 +64,10 @@ def test_standardized_errors_zero_at_predictive_mean():
                                  full_cov=False)
     exact = EventDataset("ev", hold.locations, hold.x, pf.mean,
                          threshold=15.0)
-    z = standardized_errors(mf, train, exact)
-    np.testing.assert_allclose(z, np.zeros(5), atol=1e-12)
-    d, p = mahalanobis_test(mf, train, exact)
-    assert d == pytest.approx(0.0, abs=1e-20)
-    assert p == pytest.approx(1.0, rel=1e-12)
+    rep = validation_report(mf, train, exact)
+    np.testing.assert_allclose(rep.standardized_errors, np.zeros(5), atol=1e-12)
+    assert rep.mahalanobis == pytest.approx(0.0, abs=1e-20)
+    assert rep.mahalanobis_pvalue == pytest.approx(1.0, rel=1e-12)
 
 
 def test_standardized_errors_scale():
@@ -80,7 +78,7 @@ def test_standardized_errors_scale():
                                  full_cov=False)
     shifted = EventDataset("ev", hold.locations, hold.x,
                            pf.mean + 2.0 * pf.sd, threshold=15.0)
-    z = standardized_errors(mf, train, shifted)
+    z = validation_report(mf, train, shifted).standardized_errors
     np.testing.assert_allclose(z, np.full(5, 2.0), rtol=1e-10)
 
 
@@ -90,16 +88,15 @@ def test_check_training_guards():
     other = gp_dataset(np.random.default_rng(1), 12)
     mf = fit_of(train)
     with pytest.raises(ValueError):
-        standardized_errors(mf, other, hold)
-    with pytest.raises(ValueError):
-        mahalanobis_test(mf, other, hold)
+        validation_report(mf, other, hold)
 
 
 def test_pivoted_errors_recorrelate():
     rng = np.random.default_rng(207)
     train, hold = split(rng, 16, 6)
     mf = fit_of(train)
-    epc, piv = pivoted_errors(mf, train, hold)
+    rep = validation_report(mf, train, hold)
+    epc, piv = rep.pivoted_errors, rep.pivot_indices
     assert sorted(piv.tolist()) == list(range(6))
     pf = predictive_measurements(mf, "ev", (hold.locations, hold.x),
                                  full_cov=True)
@@ -108,8 +105,6 @@ def test_pivoted_errors_recorrelate():
     g[factor.permutation, :] = factor.upper.T
     resid = hold.y - pf.mean
     np.testing.assert_allclose(g @ epc, resid, rtol=1e-8, atol=1e-10)
-    with pytest.raises(ValueError):
-        pivoted_errors(mf, train, hold.subset(np.array([0])))
 
 
 def test_pivoted_errors_are_standard_normal_under_model():
@@ -127,7 +122,7 @@ def test_pivoted_errors_are_standard_normal_under_model():
         y_star = pf.mean + lower @ rng.standard_normal(4)
         ds = EventDataset("ev", hold.locations, hold.x, y_star,
                           threshold=15.0)
-        all_e[r], _ = pivoted_errors(mf, train, ds)
+        all_e[r] = validation_report(mf, train, ds).pivoted_errors
     m = all_e.mean(axis=0)
     v = all_e.var(axis=0)
     assert np.all(np.abs(m) < 4.5 / math.sqrt(reps))
@@ -136,12 +131,16 @@ def test_pivoted_errors_are_standard_normal_under_model():
 
 def test_mahalanobis_single_point_is_squared_t():
     # with one holdout point, D is referenced to F(1, K-q) which must
-    # reproduce the two-sided t test on the standardized error
+    # reproduce the two-sided t test on the standardized error, and the
+    # pivoted error is the standardized error
     rng = np.random.default_rng(211)
     train, hold = split(rng, 15, 1)
     mf = fit_of(train)
-    d, p = mahalanobis_test(mf, train, hold)
-    z = standardized_errors(mf, train, hold)
+    rep = validation_report(mf, train, hold)
+    d, p = rep.mahalanobis, rep.mahalanobis_pvalue
+    z = rep.standardized_errors
+    assert rep.pivoted_errors[0] == pytest.approx(float(z[0]), rel=1e-12)
+    assert rep.pivot_indices.tolist() == [0]
     assert d == pytest.approx(float(z[0] ** 2), rel=1e-10)
     df2 = len(train) - PRIOR.q
     want = 2.0 * float(stats.t.sf(abs(z[0]), df2))
@@ -152,13 +151,17 @@ def test_mahalanobis_reorder_invariant():
     rng = np.random.default_rng(213)
     train, hold = split(rng, 14, 6)
     mf = fit_of(train)
-    d1, p1 = mahalanobis_test(mf, train, hold)
+    def mahalanobis(validation):
+        rep = validation_report(mf, train, validation)
+        return rep.mahalanobis, rep.mahalanobis_pvalue
+
+    d1, p1 = mahalanobis(hold)
     perm = rng.permutation(6)
-    d2, p2 = mahalanobis_test(mf, train, hold.subset(np.sort(perm)))
+    d2, p2 = mahalanobis(hold.subset(np.sort(perm)))
     # subset sorts indices, so shuffle by rebuilding instead
     shuffled = EventDataset("ev", hold.locations[perm], hold.x[perm],
                             hold.y[perm], threshold=15.0)
-    d3, p3 = mahalanobis_test(mf, train, shuffled)
+    d3, p3 = mahalanobis(shuffled)
     assert d1 == pytest.approx(d2, rel=1e-12)
     assert d1 == pytest.approx(d3, rel=1e-10)
     assert p1 == pytest.approx(p3, rel=1e-9)
@@ -179,13 +182,37 @@ def test_validation_report_bundle():
     assert rep.mahalanobis_raw == pytest.approx(
         float(np.sum(rep.standardized_errors ** 2)), rel=1e-12)
     assert 0.0 <= rep.mahalanobis_pvalue <= 1.0
-    with pytest.raises(ValueError):
-        ValidationReport(standardized_errors=np.zeros(3),
-                         pivoted_errors=np.zeros(2),
-                         pivot_indices=np.arange(2),
-                         qq_pairs=np.zeros((3, 2)), mahalanobis=1.0,
-                         mahalanobis_raw=3.0, mahalanobis_pvalue=0.5,
-                         df_pair=(3, 10))
+    good = dict(mean=np.zeros(3), standardized_errors=np.zeros(3),
+                pivoted_errors=np.zeros(3), pivot_indices=np.arange(3),
+                qq_pairs=np.zeros((3, 2)), mahalanobis=1.0,
+                mahalanobis_raw=3.0, mahalanobis_pvalue=0.5, df_pair=(3, 10))
+    ValidationReport(**good)
+    for bad in (dict(good, pivoted_errors=np.zeros(2),
+                     pivot_indices=np.arange(2)),
+                dict(good, mean=np.zeros(2))):
+        with pytest.raises(ValueError):
+            ValidationReport(**bad)
+
+
+def test_validation_report_matches_reference():
+    # one conditioning against the three it replaced; tolerances fixed
+    # before measuring: 1e-12 relative where the arithmetic differs
+    # (diagonal vs full-covariance variance, pivoted vs plain Cholesky),
+    # equality where it does not
+    for seed, k_train, k_hold in ((301, 16, 2), (303, 20, 5), (305, 30, 12),
+                                  (307, 40, 30)):
+        rng = np.random.default_rng(seed)
+        train, hold = split(rng, k_train, k_hold)
+        mf = fit_of(train)
+        rep = validation_report(mf, train, hold)
+        std, epc, piv, d_mh, p = validation_reference(mf, train, hold)
+        np.testing.assert_allclose(rep.standardized_errors, std, rtol=1e-12)
+        np.testing.assert_array_equal(rep.pivoted_errors, epc)
+        np.testing.assert_array_equal(rep.pivot_indices, piv)
+        assert rep.mahalanobis == pytest.approx(d_mh, rel=1e-12)
+        assert rep.mahalanobis_pvalue == pytest.approx(p, rel=1e-12)
+        want_mean = posterior_field(mf, "ev", (hold.locations, hold.x)).mean
+        np.testing.assert_array_equal(rep.mean, want_mean)
 
 
 def test_semivariogram_three_points_by_hand():

@@ -17,7 +17,6 @@ from fieldcal.inference import (
     log_posterior_theta,
 )
 from fieldcal.prediction import (
-    FieldRealization,
     PosteriorField,
     export_grids,
     points_csv_rows,
@@ -153,13 +152,10 @@ def test_sample_field_deterministic():
     pf = posterior_field(mf, "ev", (tloc, tx), full_cov=True)
     d1 = sample_field(pf, 5, seed=9)
     d2 = sample_field(pf, 5, seed=9)
-    assert len(d1) == 5
-    for a, b in zip(d1, d2):
-        assert isinstance(a, FieldRealization)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.event == "ev" and a.seed == 9
+    assert isinstance(d1, np.ndarray) and d1.shape == (5, 3)
+    np.testing.assert_array_equal(d1, d2)
     d3 = sample_field(pf, 5, seed=10)
-    assert not np.array_equal(d1[0].values, d3[0].values)
+    assert not np.array_equal(d1[0], d3[0])
     with pytest.raises(ValueError):
         sample_field(pf, 0, seed=1)
     diag_only = posterior_field(mf, "ev", (tloc, tx), full_cov=False)
@@ -174,8 +170,9 @@ def test_sample_field_zero_covariance_returns_mean():
                         variance=np.zeros(2), covariance=np.zeros((2, 2)),
                         df=10, space="actual_field")
     draws = sample_field(pf, 4, seed=3)
+    assert draws.shape == (4, 2)
     for d in draws:
-        np.testing.assert_array_equal(d.values, pf.mean)
+        np.testing.assert_array_equal(d, pf.mean)
 
 
 def test_sample_field_moments():
@@ -185,7 +182,7 @@ def test_sample_field_moments():
     tx = rng.uniform(18, 35, size=3)
     pf = posterior_field(mf, "ev", (tloc, tx), full_cov=True)
     n = 60000
-    draws = np.array([d.values for d in sample_field(pf, n, seed=5)])
+    draws = sample_field(pf, n, seed=5)
     se_mean = pf.sd / np.sqrt(n)
     np.testing.assert_allclose(draws.mean(axis=0), pf.mean,
                                atol=4.5 * se_mean.max())
