@@ -15,7 +15,8 @@ from .inference import (EventFit, ModelFit, PriorSpec, default_prior,
                         event_statistics, fit, load_fit, log_posterior_theta,
                         save_fit)
 from .numerics import (CholeskyFactor, OptimizerOptions,
-                       PivotedCholeskyFactor, cholesky, nelder_mead,
+                       PivotedCholeskyFactor, SearchResult, cholesky,
+                       nelder_mead,
                        pivoted_cholesky, std_normal_quantile,
                        student_t_quantile)
 from .prediction import (PosteriorField, posterior_field, predict_grid,
@@ -32,7 +33,7 @@ __all__ = [
     "EventFit", "ModelFit", "PriorSpec", "default_prior",
     "event_statistics", "fit", "load_fit", "log_posterior_theta", "save_fit",
     "CholeskyFactor", "OptimizerOptions", "PivotedCholeskyFactor",
-    "cholesky", "nelder_mead", "pivoted_cholesky",
+    "SearchResult", "cholesky", "nelder_mead", "pivoted_cholesky",
     "std_normal_quantile", "student_t_quantile",
     "PosteriorField", "posterior_field", "predict_grid",
     "predictive_measurements", "sample_field",

@@ -242,6 +242,8 @@ def cmd_fit(args) -> int:
         raise EmptyDataset("no event has enough pairs above the threshold")
 
     result = fit_model(datasets, cfg.prior, cfg.optimizer, cfg.theta0)
+    log.info("%d evaluations, stopped: %s", result.search.evaluations,
+             "budget" if result.search.budget_exhausted else "converged")
     artifact = args.output or os.path.join(cfg.output_dir, "fit.out")
     header = "".join(f"# {line}\n" for line in _header(result.theta, cfg.config_hash))
     _write_text(artifact, header + format_fit(result))
@@ -315,7 +317,8 @@ def cmd_validate(args) -> int:
     n_hold = cfg.validation_holdout
     q = result.prior.q
     stations = _merge_stations(cfg.station_paths)
-    summary_rows = []
+    # pair every event and check every holdout bound before writing any file
+    paired = []
     for gpath in cfg.grid_paths:
         grid = load_grid(gpath)
         if grid.event not in result.event_ids():
@@ -326,22 +329,27 @@ def cmd_validate(args) -> int:
             raise InsufficientStations(
                 f"event {grid.event}: holdout {n_hold} incompatible with "
                 f"{len(ds)} stations (need 1 <= holdout <= K-q-1)")
-        split_seed = cfg.seed + zlib.crc32(grid.event.encode()) % 100000
+        paired.append(ds)
+    if not paired:
+        raise InsufficientStations("no fitted event matched the config grids")
+    summary_rows = []
+    for ds in paired:
+        split_seed = cfg.seed + zlib.crc32(ds.event.encode()) % 100000
         train, hold = holdout_split(ds, n_hold, split_seed)
         ef = event_statistics(train, result.theta, result.prior)
         sub = ModelFit(theta=result.theta, events=(ef,), prior=result.prior,
                        log_posterior=event_log_posterior(ef, result.prior))
         report = validation_report(sub, train, hold)
         comments = _header(result.theta, cfg.config_hash)
-        comments.append(f"event {grid.event} holdout {n_hold} seed {split_seed}")
+        comments.append(f"event {ds.event} holdout {n_hold} seed {split_seed}")
 
         std_path = os.path.join(cfg.output_dir,
-                                f"validate_{grid.event}_standardized.csv")
+                                f"validate_{ds.event}_standardized.csv")
         _write_csv(std_path, comments, ["index", "std_error"],
                    [[str(i), f"{v:.6g}"]
                     for i, v in enumerate(report.standardized_errors)])
         piv_path = os.path.join(cfg.output_dir,
-                                f"validate_{grid.event}_pivoted.csv")
+                                f"validate_{ds.event}_pivoted.csv")
         _write_csv(piv_path, comments,
                    ["pivot_order", "holdout_index", "error",
                     "qq_theoretical", "qq_observed"],
@@ -350,14 +358,12 @@ def cmd_validate(args) -> int:
                      f"{report.qq_pairs[k, 0]:.6g}",
                      f"{report.qq_pairs[k, 1]:.6g}"]
                     for k in range(len(report.pivoted_errors))])
-        summary_rows.append([grid.event, str(n_hold), str(report.df_pair[1]),
+        summary_rows.append([ds.event, str(n_hold), str(report.df_pair[1]),
                              f"{report.mahalanobis:.6g}",
                              f"{report.mahalanobis_raw:.6g}",
                              f"{report.mahalanobis_pvalue:.6g}",
                              f"{rmse(hold.y, hold.x):.6g}",
                              f"{rmse(hold.y, report.mean):.6g}"])
-    if not summary_rows:
-        raise InsufficientStations("no fitted event matched the config grids")
     path = os.path.join(cfg.output_dir, "validate_summary.csv")
     _write_csv(path, _header(result.theta, cfg.config_hash),
                ["event", "n_holdout", "df2", "mahalanobis", "raw_sq_sum",

@@ -9,6 +9,7 @@ numerically; a single theta is shared across all events.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
@@ -19,8 +20,8 @@ import numpy as np
 from .covariance import (NU_BOUNDS, Hyperparameters, correlation_matrix_arrays,
                          rotate_array)
 from .dataio import EventDataset
-from .numerics import (CholeskyFactor, NotPositiveDefinite, OptimizerOptions,
-                       cholesky, nelder_mead)
+from .numerics import (CholeskyFactor, NonFiniteObjective, NotPositiveDefinite,
+                       OptimizerOptions, SearchResult, cholesky, nelder_mead)
 
 log = logging.getLogger(__name__)
 
@@ -84,6 +85,12 @@ class PriorSpec:
     def q(self) -> int:
         return self.basis_degree + 1
 
+    @functools.cached_property
+    def _precision(self):
+        # B^{-1} and B^{-1} b, factored once per prior
+        binv = cholesky(self.B).solve(np.eye(self.q))
+        return binv, binv @ self.b
+
 
 def default_prior() -> PriorSpec:
     """Quadratic basis centered on the identity map y = x."""
@@ -130,6 +137,79 @@ class EventFit:
         return self.dataset.y
 
 
+@dataclass(frozen=True)
+class _EventTerms:
+    """The theta-independent pieces of one event's conjugate update."""
+
+    dataset: EventDataset
+    H: np.ndarray
+    yh: np.ndarray                # [y | H], solved through L in one call
+
+    @classmethod
+    def of(cls, dataset, prior: PriorSpec) -> "_EventTerms":
+        if isinstance(dataset, cls):    # built once per fit by fit()
+            return dataset
+        K = len(dataset)
+        if K <= prior.q:
+            raise TooFewObservations(
+                f"event {dataset.event}: K={K} pairs but basis has "
+                f"q={prior.q} coefficients")
+        h = basis_matrix(dataset.x, prior.q)
+        return cls(dataset=dataset, H=h, yh=np.column_stack([dataset.y, h]))
+
+
+@dataclass(frozen=True)
+class _Update:
+    """One event's conjugate update at fixed theta, as the evidence needs it."""
+
+    K: int
+    locations_rot: np.ndarray
+    A_factor: CholeskyFactor
+    W_H: np.ndarray               # L^{-1} H
+    resid_w: np.ndarray           # L^{-1} (y - H beta_hat)
+    beta_hat: np.ndarray
+    Bstar_inv_factor: CholeskyFactor
+    S: float
+    sigma_hat2: float
+    sigma_floored: bool
+
+    @property
+    def logdet_Bstar(self) -> float:
+        return -self.Bstar_inv_factor.logdet
+
+
+def _conjugate_update(terms: _EventTerms, theta: Hyperparameters,
+                      prior: PriorSpec) -> _Update:
+    """Factor A = L L^T and update the prior through one triangular solve.
+
+    W = L^{-1} [y | H] gives y^T A^{-1} y, H^T A^{-1} y and H^T A^{-1} H
+    as products of its columns. The scale term is summed from two
+    nonnegative parts, S = a + |W_y - W_H beta_hat|^2
+    + (beta_hat - b)^T B^{-1} (beta_hat - b), which equals
+    a + b^T B^{-1} b + y^T A^{-1} y - beta_hat^T (B*)^{-1} beta_hat without
+    its cancellation when y sits far from zero.
+    """
+    ds = terms.dataset
+    loc_t = rotate_array(ds.locations, theta.omega)
+    a_factor = cholesky(correlation_matrix_arrays(theta, loc_t, ds.x))
+    w = a_factor.solve_lower(terms.yh)
+    w_y, w_h = w[:, 0], w[:, 1:]
+    binv, binv_b = prior._precision
+    bstar_inv = binv + w_h.T @ w_h
+    bstar_inv_factor = cholesky(0.5 * (bstar_inv + bstar_inv.T))
+    beta_hat = bstar_inv_factor.solve(binv_b + w_h.T @ w_y)
+    resid_w = w_y - w_h @ beta_hat
+    db = beta_hat - prior.b
+    s = prior.a + float(resid_w @ resid_w) + float(db @ binv @ db)
+    K = len(ds)
+    raw_sigma2 = s / (K + prior.d)
+    return _Update(K=K, locations_rot=loc_t, A_factor=a_factor, W_H=w_h,
+                   resid_w=resid_w, beta_hat=beta_hat,
+                   Bstar_inv_factor=bstar_inv_factor, S=s,
+                   sigma_hat2=max(raw_sigma2, SIGMA2_FLOOR),
+                   sigma_floored=raw_sigma2 < SIGMA2_FLOOR)
+
+
 def event_statistics(dataset: EventDataset, theta: Hyperparameters,
                      prior: PriorSpec) -> EventFit:
     """Conjugate update for one event at fixed hyperparameters.
@@ -137,56 +217,34 @@ def event_statistics(dataset: EventDataset, theta: Hyperparameters,
     Computes B* = (B^{-1} + H^T A^{-1} H)^{-1}, the posterior coefficient
     mean beta_hat = B* (B^{-1} b + H^T A^{-1} y), and the scale estimate
     sigma_hat2 = S / (K + d) with
-    S = a + b^T B^{-1} b + y^T A^{-1} y - beta_hat^T (B*)^{-1} beta_hat,
-    floored at 1e-10.
+    S = a + (y - H beta_hat)^T A^{-1} (y - H beta_hat)
+    + (beta_hat - b)^T B^{-1} (beta_hat - b), floored at 1e-10.
     """
-    K = len(dataset)
-    q = prior.q
-    if K <= q:
-        raise TooFewObservations(
-            f"event {dataset.event}: K={K} pairs but basis has q={q} coefficients")
-    y = dataset.y
-    loc_t = rotate_array(dataset.locations, theta.omega)
-    a_mat = correlation_matrix_arrays(theta, loc_t, dataset.x)
-    a_factor = cholesky(a_mat)
-    h = basis_matrix(dataset.x, q)
-
-    ainv_y = a_factor.solve(y)
-    ainv_h = a_factor.solve(h)
-    b_factor = cholesky(prior.B)
-    binv = b_factor.solve(np.eye(q))
-    bstar_inv = binv + h.T @ ainv_h
-    bstar_inv = 0.5 * (bstar_inv + bstar_inv.T)
-    bstar_factor = cholesky(bstar_inv)
-    beta_hat = bstar_factor.solve(binv @ prior.b + h.T @ ainv_y)
-    bstar = bstar_factor.solve(np.eye(q))
-    bstar = 0.5 * (bstar + bstar.T)
-
-    s = (prior.a + float(prior.b @ binv @ prior.b) + float(y @ ainv_y)
-         - float(beta_hat @ bstar_inv @ beta_hat))
-    raw_sigma2 = s / (K + prior.d)
-    floored = raw_sigma2 < SIGMA2_FLOOR
-    sigma_hat2 = max(raw_sigma2, SIGMA2_FLOOR)
-    weights = ainv_y - ainv_h @ beta_hat
-
-    return EventFit(event=dataset.event, beta_hat=beta_hat,
-                    sigma_hat2=sigma_hat2, A_factor=a_factor, Bstar=bstar,
-                    weights=weights, K=K, df=K + prior.d, dataset=dataset,
-                    H=h, locations_rot=loc_t, Ainv_H=ainv_h, S=s,
-                    logdet_Bstar=-bstar_factor.logdet, sigma_floored=floored)
+    terms = _EventTerms.of(dataset, prior)
+    u = _conjugate_update(terms, theta, prior)
+    bstar = u.Bstar_inv_factor.solve(np.eye(prior.q))
+    return EventFit(event=dataset.event, beta_hat=u.beta_hat,
+                    sigma_hat2=u.sigma_hat2, A_factor=u.A_factor,
+                    Bstar=0.5 * (bstar + bstar.T),
+                    weights=u.A_factor.solve_upper(u.resid_w),
+                    K=u.K, df=u.K + prior.d, dataset=dataset, H=terms.H,
+                    locations_rot=u.locations_rot,
+                    Ainv_H=u.A_factor.solve_upper(u.W_H),
+                    S=u.S, logdet_Bstar=u.logdet_Bstar,
+                    sigma_floored=u.sigma_floored)
 
 
-def _event_log_evidence(ef: EventFit, prior: PriorSpec) -> float:
-    # log of the (beta, sigma2)-marginalized likelihood for one event,
-    # up to a theta-independent constant
+def _event_log_evidence(ef, prior: PriorSpec) -> float:
+    # log of the (beta, sigma2)-marginalized likelihood for one event, up
+    # to a theta-independent constant
     return (-(ef.K + prior.d) * 0.5 * math.log(ef.sigma_hat2)
             - 0.5 * ef.A_factor.logdet + 0.5 * ef.logdet_Bstar)
 
 
 def event_log_posterior(ef: EventFit, prior: PriorSpec) -> float:
-    """One event's term of :func:`log_posterior_theta`, from its EventFit:
-    the marginalized evidence, or -inf when the scale estimate collapsed
-    to its floor."""
+    """One event's term of :func:`log_posterior_theta`, from its EventFit
+    (or the update it is built on): the marginalized evidence, or -inf
+    when the scale estimate collapsed to its floor."""
     if ef.sigma_floored:
         return -math.inf
     return _event_log_evidence(ef, prior)
@@ -203,10 +261,10 @@ def log_posterior_theta(datasets, theta: Hyperparameters,
     total = 0.0
     for ds in datasets:
         try:
-            ef = event_statistics(ds, theta, prior)
+            u = _conjugate_update(_EventTerms.of(ds, prior), theta, prior)
         except NotPositiveDefinite:
             return -math.inf
-        total += event_log_posterior(ef, prior)
+        total += event_log_posterior(u, prior)
         if total == -math.inf:
             return total
     return total
@@ -214,12 +272,14 @@ def log_posterior_theta(datasets, theta: Hyperparameters,
 
 @dataclass(frozen=True)
 class ModelFit:
-    """Fitted hyperparameters with per-event conjugate summaries."""
+    """Fitted hyperparameters with per-event conjugate summaries, and
+    the search that found them (None for a reloaded or assembled fit)."""
 
     theta: Hyperparameters
     events: tuple
     prior: PriorSpec
     log_posterior: float
+    search: SearchResult | None = None
 
     def __post_init__(self):
         if not self.events:
@@ -287,10 +347,7 @@ def fit(datasets, prior: PriorSpec, opts: OptimizerOptions,
     datasets = list(datasets)
     if not datasets:
         raise ValueError("fit requires at least one event dataset")
-    for ds in datasets:
-        if len(ds) <= prior.q:
-            raise TooFewObservations(
-                f"event {ds.event}: K={len(ds)} pairs but q={prior.q}")
+    terms = [_EventTerms.of(ds, prior) for ds in datasets]
     if theta0 is None:
         theta0 = default_theta0(datasets)
 
@@ -298,16 +355,16 @@ def fit(datasets, prior: PriorSpec, opts: OptimizerOptions,
         theta = _unpack(np.asarray(z, dtype=float))
         if theta is None:
             return math.inf
-        lp = log_posterior_theta(datasets, theta, prior)
+        lp = log_posterior_theta(terms, theta, prior)
         return -lp if math.isfinite(lp) else math.inf
 
-    z0 = _pack(theta0)
-    if not math.isfinite(objective(z0)):
+    try:
+        search = nelder_mead(objective, _pack(theta0), opts)
+    except NonFiniteObjective:
         raise OptimizationFailed(
-            "objective is not finite at the starting hyperparameters")
-    z_best, f_best = nelder_mead(objective, z0, opts)
-    theta_hat = _unpack(z_best)
-    if theta_hat is None or not math.isfinite(f_best):
+            "objective is not finite at the starting hyperparameters") from None
+    theta_hat = _unpack(search.x)
+    if theta_hat is None or not math.isfinite(search.fun):
         raise OptimizationFailed("optimizer did not find a finite optimum")
 
     events = tuple(event_statistics(ds, theta_hat, prior) for ds in datasets)
@@ -319,7 +376,7 @@ def fit(datasets, prior: PriorSpec, opts: OptimizerOptions,
             f"(sigmaY^2 > lambda2*sigma_hat2) for event(s): {', '.join(bad)}",
             FitWarning, stacklevel=2)
     return ModelFit(theta=theta_hat, events=events, prior=prior,
-                    log_posterior=-f_best)
+                    log_posterior=-search.fun, search=search)
 
 
 def _fmt(v: float) -> str:

@@ -60,12 +60,15 @@ class CholeskyFactor:
 
     def solve(self, b):
         """Solve A x = b through the factor (two triangular solves)."""
-        y = self.solve_lower(b)
-        return linalg.solve_triangular(self.lower.T, y, lower=False)
+        return self.solve_upper(self.solve_lower(b))
 
     def solve_lower(self, b):
         """Solve L w = b (one triangular solve), so b^T A^{-1} b = w^T w."""
         return linalg.solve_triangular(self.lower, b, lower=True)
+
+    def solve_upper(self, w):
+        """Solve L^T x = w, so x = A^{-1} b for w from :meth:`solve_lower`."""
+        return linalg.solve_triangular(self.lower.T, w, lower=False)
 
 
 def cholesky(a) -> CholeskyFactor:
@@ -175,20 +178,41 @@ class OptimizerOptions:
             raise ValueError("restarts must be >= 1")
 
 
-def nelder_mead(objective, x0, opts: OptimizerOptions):
+@dataclass(frozen=True)
+class SearchResult:
+    """Best point of a Nelder-Mead search and how the search ended.
+
+    ``evaluations`` counts objective calls over all restarts;
+    ``budget_exhausted`` is True when a restart stopped on
+    ``max_evals`` rather than on the simplex tolerance.
+    """
+
+    x: np.ndarray
+    fun: float
+    evaluations: int
+    budget_exhausted: bool
+
+
+def nelder_mead(objective, x0, opts: OptimizerOptions) -> SearchResult:
     """Minimize a scalar function of a real vector, derivative-free.
 
-    Returns ``(x_best, f_best)`` with ``f_best <= objective(x0)``. Each
-    restart terminates when the simplex spread falls below
-    ``opts.simplex_tolerance`` or after ``opts.max_evals`` evaluations.
-    Deterministic for fixed ``(x0, opts.seed)``.
+    The result has ``fun <= objective(x0)``. Each restart terminates when
+    the simplex spread falls below ``opts.simplex_tolerance`` or after
+    ``opts.max_evals`` evaluations. Deterministic for fixed
+    ``(x0, opts.seed)``. The objective is called once at ``x0``: that
+    value also serves the first vertex of the first simplex.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     f0 = float(objective(x0))
     if not math.isfinite(f0):
         raise NonFiniteObjective("objective is not finite at the starting point")
+    first_call = [True]
 
     def guarded(x):
+        if first_call:
+            first_call.clear()
+            if np.array_equal(x, x0):
+                return f0
         v = float(objective(x))
         # NaN would corrupt simplex ordering; +inf is rejected cleanly.
         return math.inf if math.isnan(v) else v
@@ -199,6 +223,7 @@ def nelder_mead(objective, x0, opts: OptimizerOptions):
         starts.append(x0 + rng.normal(scale=0.25 * (np.abs(x0) + 1.0)))
 
     best_x, best_f = x0, f0
+    evaluations, exhausted = 0, False
     for start in starts:
         # scipy's default simplex barely perturbs zero coordinates; a
         # floored step keeps every direction searchable from the start
@@ -215,9 +240,12 @@ def nelder_mead(objective, x0, opts: OptimizerOptions):
                 "disp": False,
             },
         )
+        evaluations += int(res.nfev)
+        exhausted |= res.status == 1
         if float(res.fun) < best_f:
             best_x, best_f = np.asarray(res.x, dtype=float), float(res.fun)
-    return best_x, best_f
+    return SearchResult(x=best_x, fun=best_f, evaluations=evaluations,
+                        budget_exhausted=bool(exhausted))
 
 
 def f_sf(x, d1: int, d2: int) -> float:

@@ -380,3 +380,100 @@ def validation_reference(fit, train, validation):
     d_mh = float(resid @ cholesky(pf.covariance).solve(resid)) / n_tilde
     p = f_sf(d_mh, n_tilde, df2)
     return std, epc, piv, d_mh, p
+
+
+def event_statistics_reference(dataset, theta, prior):
+    """The conjugate update as ``inference.event_statistics`` computed it
+    with two full solves through A and the scale term written as
+    S = a + b^T B^{-1} b + y^T A^{-1} y - beta_hat^T (B*)^{-1} beta_hat,
+    which cancels when y sits far from zero compared with its residuals.
+    """
+    from fieldcal.covariance import correlation_matrix_arrays, rotate_array
+    from fieldcal.inference import (SIGMA2_FLOOR, EventFit,
+                                    TooFewObservations, basis_matrix)
+    from fieldcal.numerics import cholesky
+
+    K = len(dataset)
+    q = prior.q
+    if K <= q:
+        raise TooFewObservations(
+            f"event {dataset.event}: K={K} pairs but basis has q={q} coefficients")
+    y = dataset.y
+    loc_t = rotate_array(dataset.locations, theta.omega)
+    a_mat = correlation_matrix_arrays(theta, loc_t, dataset.x)
+    a_factor = cholesky(a_mat)
+    h = basis_matrix(dataset.x, q)
+
+    ainv_y = a_factor.solve(y)
+    ainv_h = a_factor.solve(h)
+    b_factor = cholesky(prior.B)
+    binv = b_factor.solve(np.eye(q))
+    bstar_inv = binv + h.T @ ainv_h
+    bstar_inv = 0.5 * (bstar_inv + bstar_inv.T)
+    bstar_factor = cholesky(bstar_inv)
+    beta_hat = bstar_factor.solve(binv @ prior.b + h.T @ ainv_y)
+    bstar = bstar_factor.solve(np.eye(q))
+    bstar = 0.5 * (bstar + bstar.T)
+
+    s = (prior.a + float(prior.b @ binv @ prior.b) + float(y @ ainv_y)
+         - float(beta_hat @ bstar_inv @ beta_hat))
+    raw_sigma2 = s / (K + prior.d)
+    floored = raw_sigma2 < SIGMA2_FLOOR
+    sigma_hat2 = max(raw_sigma2, SIGMA2_FLOOR)
+    weights = ainv_y - ainv_h @ beta_hat
+
+    return EventFit(event=dataset.event, beta_hat=beta_hat,
+                    sigma_hat2=sigma_hat2, A_factor=a_factor, Bstar=bstar,
+                    weights=weights, K=K, df=K + prior.d, dataset=dataset,
+                    H=h, locations_rot=loc_t, Ainv_H=ainv_h, S=s,
+                    logdet_Bstar=-bstar_factor.logdet, sigma_floored=floored)
+
+
+def log_posterior_reference(datasets, theta, prior):
+    """The theta objective as one full :func:`event_statistics_reference`
+    per event: the sum of the marginalized evidences, -inf when A fails
+    to factorize or the scale estimate collapses to its floor."""
+    from fieldcal.inference import event_log_posterior
+    from fieldcal.numerics import NotPositiveDefinite
+
+    total = 0.0
+    for ds in datasets:
+        try:
+            ef = event_statistics_reference(ds, theta, prior)
+        except NotPositiveDefinite:
+            return -math.inf
+        total += event_log_posterior(ef, prior)
+        if total == -math.inf:
+            return total
+    return total
+
+
+def _solve_longdouble(m, rhs):
+    """Gauss-Jordan elimination with partial pivoting in long double."""
+    m = np.array(m, dtype=np.longdouble)
+    r = np.array(rhs, dtype=np.longdouble).reshape(len(m), -1)
+    n = len(m)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(m[k:, k])))
+        m[[k, p]], r[[k, p]] = m[[p, k]], r[[p, k]]
+        piv = m[k, k]
+        f = m[:, k] / piv
+        f[k] = 0.0
+        m -= np.outer(f, m[k])
+        r -= np.outer(f, r[k])
+    return r / np.diag(m)[:, None]
+
+
+def scale_term_longdouble(a_mat, y, h, prior):
+    """S = a + b^T B^-1 b + y^T A^-1 y - beta^T (B*)^-1 beta in long
+    double, for the stable-S check on data already moved near zero."""
+    b = np.array(prior.b, dtype=np.longdouble)
+    binv = _solve_longdouble(prior.B, np.eye(prior.q))
+    sol = _solve_longdouble(a_mat, np.column_stack([y, h]))
+    ainv_y, ainv_h = sol[:, 0], sol[:, 1:]
+    h_ld = np.array(h, dtype=np.longdouble)
+    y_ld = np.array(y, dtype=np.longdouble)
+    bstar_inv = binv + h_ld.T @ ainv_h
+    beta = _solve_longdouble(bstar_inv, binv @ b + h_ld.T @ ainv_y)[:, 0]
+    return (np.longdouble(prior.a) + b @ binv @ b + y_ld @ ainv_y
+            - beta @ bstar_inv @ beta)

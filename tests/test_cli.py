@@ -5,15 +5,20 @@ codes and the files left behind, exactly as a shell user would see
 them. One fit is shared per module; reruns check byte determinism.
 """
 
+import logging
 import os
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 
 from fieldcal import cli
-from fieldcal.dataio import GridField, load_grid, load_points, save_grid
-from fieldcal.inference import load_fit
+from fieldcal.dataio import (GridField, holdout_split, load_grid, load_points,
+                             load_stations, pair_and_threshold, rmse,
+                             save_grid)
+from fieldcal.inference import ModelFit, event_statistics, load_fit
+from fieldcal.prediction import posterior_field
 
 from _synth import make_corpus, write_corpus
 
@@ -84,6 +89,23 @@ def test_fit_rerun_is_byte_identical(corpus_dir, fitted):
     rc = cli.main(["fit", "-c", str(corpus_dir / "run.cfg")])
     assert rc == 0
     assert _read(fitted) == first
+
+
+def test_fit_logs_evaluations_and_stop_reason(corpus_dir, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="fieldcal")
+    for max_evals, reason in (("12", "budget"), ("2000", "converged")):
+        caplog.clear()
+        rc = cli.main(["fit", "-c", str(corpus_dir / "run.cfg"),
+                       "--set", f"max_evals={max_evals}",
+                       "--set", f"output_dir={tmp_path}"])
+        assert rc == 0
+        lines = [r.getMessage() for r in caplog.records
+                 if "evaluations, stopped" in r.getMessage()]
+        assert len(lines) == 1
+        n, rest = lines[0].split(" evaluations, stopped: ")
+        assert rest == reason
+        assert 0 < int(n) <= int(max_evals)
+    assert int(n) < 2000
 
 
 def test_threshold_excluding_everything_is_a_user_error(corpus_dir):
@@ -271,6 +293,56 @@ def test_validate_holdout_bounds(corpus_dir, fitted):
     assert cli.main(["validate", "-f", str(fitted),
                      "-c", str(corpus_dir / "run.cfg"),
                      "--set", "holdout=45"]) == 2
+
+
+def test_validate_checks_every_event_before_writing(corpus_dir, fitted,
+                                                    tmp_path, caplog):
+    # the event listed second fails its holdout bound: nothing is written
+    stations = load_stations(corpus_dir / "stations.csv")
+    grids = sorted((corpus_dir / f"grid_{ev}.fg" for ev in ("ev00", "ev01")),
+                   key=lambda g: -len(pair_and_threshold(
+                       stations, load_grid(g), 25.0)))
+    k_first, k_second = (len(pair_and_threshold(stations, load_grid(g), 25.0))
+                         for g in grids)
+    q = 3
+    assert k_second < k_first
+    holdout = k_second - q   # > K - q - 1 for the second event only
+    rc = cli.main(["validate", "-f", str(fitted),
+                   "-c", str(corpus_dir / "run.cfg"),
+                   "--set", f"grids={grids[0]},{grids[1]}",
+                   "--set", "threshold=25", "--set", f"holdout={holdout}",
+                   "--set", f"output_dir={tmp_path}"])
+    assert rc == 2
+    assert "InsufficientStations" in caplog.text
+    assert not [p for p in os.listdir(tmp_path) if p.startswith("validate_")]
+
+
+def test_validate_summary_rmse_posterior(corpus_dir, fitted, tmp_path):
+    # the column is the posterior mean's RMSE at the held-out stations,
+    # recomputed here from the same seeded split
+    rc = cli.main(["validate", "-f", str(fitted),
+                   "-c", str(corpus_dir / "run.cfg"),
+                   "--set", f"output_dir={tmp_path}"])
+    assert rc == 0
+    cfg = cli.parse_config(corpus_dir / "run.cfg")
+    result = load_fit(fitted)
+    stations = load_stations(corpus_dir / "stations.csv")
+    lines = (tmp_path / "validate_summary.csv").read_text().splitlines()
+    header = [l for l in lines if not l.startswith("#")][0].split(",")
+    rows = {r[0]: r for r in (l.split(",") for l in lines
+                              if l.startswith("ev0"))}
+    assert sorted(rows) == ["ev00", "ev01"]
+    for ev, row in rows.items():
+        ds = pair_and_threshold(stations, load_grid(corpus_dir / f"grid_{ev}.fg"),
+                                cfg.threshold_u)
+        seed = cfg.seed + zlib.crc32(ev.encode()) % 100000
+        train, hold = holdout_split(ds, cfg.validation_holdout, seed)
+        ef = event_statistics(train, result.theta, result.prior)
+        sub = ModelFit(theta=result.theta, events=(ef,), prior=result.prior,
+                       log_posterior=0.0)
+        mean = posterior_field(sub, ev, (hold.locations, hold.x)).mean
+        assert row[header.index("rmse_posterior")] == f"{rmse(hold.y, mean):.6g}"
+        assert row[header.index("rmse_simulated")] == f"{rmse(hold.y, hold.x):.6g}"
 
 
 def test_validate_single_holdout(corpus_dir, fitted, tmp_path):

@@ -18,6 +18,8 @@ from fieldcal.inference import (
     SIGMA2_FLOOR,
     TooFewObservations,
     UnknownEvent,
+    _pack,
+    _unpack,
     _wrap_angle,
     basis_matrix,
     default_prior,
@@ -29,7 +31,9 @@ from fieldcal.inference import (
     save_fit,
 )
 from fieldcal.numerics import OptimizerOptions
-from _oracles import nig_log_evidence_quadrature, nig_regression_quadrature
+from _oracles import (event_statistics_reference, log_posterior_reference,
+                      nig_log_evidence_quadrature, nig_regression_quadrature,
+                      scale_term_longdouble)
 
 THETA = Hyperparameters(omega=0.25, lambda2=0.3, phi1=2.5, phi2=1.8,
                         nu1=1.1, nu2=0.9, phiX=9.0)
@@ -232,10 +236,96 @@ def test_factorization_failure_gives_neg_inf(monkeypatch):
     def boom(*args, **kwargs):
         raise NotPositiveDefinite("forced")
 
-    monkeypatch.setattr(inf, "event_statistics", boom)
+    monkeypatch.setattr(inf, "cholesky", boom)
     rng = np.random.default_rng(67)
     ds = make_dataset(rng, 6)
     assert inf.log_posterior_theta([ds], THETA, default_prior()) == -math.inf
+
+
+def test_objective_matches_reference():
+    # the one-solve objective against the per-event two-solve update it
+    # replaced, at the closed-form and tabulated kernels with omega != 0;
+    # tolerance set before measuring: 1e-12 relative
+    rng = np.random.default_rng(71)
+    datasets = [make_dataset(rng, k, event=f"ev{k}") for k in (9, 25, 60)]
+    prior = PriorSpec(b=[0.5, 0.9, 0.0], B=np.diag([0.4, 0.8, 1.3]),
+                      a=1.5, d=2.0)
+    for nu1, nu2 in ((0.5, 0.5), (1.5, 1.5), (2.5, 2.5), (1.1, 0.9),
+                     (0.5, 2.5), (3.7, 0.3)):
+        theta = Hyperparameters(omega=0.6, lambda2=0.2, phi1=2.0, phi2=3.1,
+                                nu1=nu1, nu2=nu2, phiX=7.0)
+        want = log_posterior_reference(datasets, theta, prior)
+        assert math.isfinite(want)
+        assert log_posterior_theta(datasets, theta, prior) == pytest.approx(
+            want, rel=1e-12)
+        for ds in datasets:
+            ef, ref = (event_statistics(ds, theta, prior),
+                       event_statistics_reference(ds, theta, prior))
+            np.testing.assert_allclose(ef.beta_hat, ref.beta_hat, rtol=1e-12)
+            assert ef.sigma_hat2 == pytest.approx(ref.sigma_hat2, rel=1e-12)
+            np.testing.assert_allclose(ef.weights, ref.weights, rtol=1e-10,
+                                       atol=1e-12 * np.max(np.abs(ref.weights)))
+            np.testing.assert_allclose(ef.Ainv_H, ref.Ainv_H, rtol=1e-12,
+                                       atol=0.0)
+            np.testing.assert_allclose(ef.Bstar, ref.Bstar, rtol=1e-12)
+            assert ef.logdet_Bstar == pytest.approx(ref.logdet_Bstar, rel=1e-12)
+
+
+def test_scale_term_is_stable_far_from_zero():
+    # y = c + 0.8 x + N(0, 1e-3^2) with prior mean b = (c, 0.8, 0): S does
+    # not depend on c in exact arithmetic. The reference evaluates it in
+    # long double on the data moved back by c (exact, Sterbenz). Tolerance
+    # set before measuring: 1e-5 relative at every offset.
+    rng = np.random.default_rng(79)
+    k = 80
+    loc = rng.uniform(0, 8, size=(k, 2))
+    x = rng.uniform(16, 40, size=k)
+    noise = rng.normal(0.0, 1e-3, size=k)
+    theta = THETA
+    a_mat = correlation_matrix_arrays(theta, rotate_array(loc, theta.omega), x)
+    h = basis_matrix(x, 3)
+    for offset in (0.0, 1e3, 1e5, 1e7):
+        y = offset + (0.8 * x + noise)
+        prior = PriorSpec(b=[offset, 0.8, 0.0], B=np.diag([0.1, 1.0, 1.0]))
+        ds = EventDataset("far", loc, x, y, threshold=15.0)
+        ef = event_statistics(ds, theta, prior)
+        near = PriorSpec(b=[0.0, 0.8, 0.0], B=prior.B)
+        want = float(scale_term_longdouble(a_mat, y - offset, h, near))
+        assert ef.S == pytest.approx(want, rel=1e-5), offset
+        assert not ef.sigma_floored
+        assert math.isfinite(log_posterior_theta([ds], theta, prior))
+    # the cancelling form the update replaced, at the largest offset: y^T
+    # A^{-1} y is near 1e16 there, so its S is a rounding residue of order
+    # 0.1 or exactly 0, against 1e-4, and the check tells the two apart
+    old = event_statistics_reference(ds, theta, prior).S
+    assert abs(old / want - 1.0) > 0.5
+
+
+def test_fit_evaluates_the_start_once(monkeypatch):
+    import fieldcal.inference as inf
+
+    rng = np.random.default_rng(83)
+    datasets = [make_dataset(rng, 12, event=f"ev{i}") for i in range(2)]
+    prior = default_prior()
+    theta0 = default_theta0(datasets)
+    at_start = _unpack(_pack(theta0))
+    seen = []
+    real = inf.log_posterior_theta
+
+    def counting(events, theta, prior_):
+        seen.append(theta)
+        return real(events, theta, prior_)
+
+    monkeypatch.setattr(inf, "log_posterior_theta", counting)
+    mf = fit(datasets, prior, OptimizerOptions(max_evals=25))
+    assert sum(th == at_start for th in seen) == 1
+    assert mf.search.evaluations == len(seen) == 25
+    assert mf.search.budget_exhausted
+    # a start with no finite objective is still an OptimizationFailed
+    bad0 = Hyperparameters(omega=0.0, lambda2=1e14, phi1=1.0, phi2=1.0,
+                           nu1=1.0, nu2=1.0, phiX=8.0)
+    with pytest.raises(OptimizationFailed, match="starting hyperparameters"):
+        fit(datasets, prior, OptimizerOptions(max_evals=10), theta0=bad0)
 
 
 def test_wrap_angle():

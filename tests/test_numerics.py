@@ -266,27 +266,28 @@ def test_nelder_mead_quadratic():
     def obj(x):
         return float(np.sum((x - target) ** 2))
 
-    x, f = nelder_mead(obj, np.zeros(2), OptimizerOptions(max_evals=2000))
-    np.testing.assert_allclose(x, target, atol=1e-4)
-    assert f < 1e-7
+    res = nelder_mead(obj, np.zeros(2), OptimizerOptions(max_evals=2000))
+    np.testing.assert_allclose(res.x, target, atol=1e-4)
+    assert res.fun < 1e-7
+    assert 0 < res.evaluations < 2000 and not res.budget_exhausted
 
 
 def test_nelder_mead_rosenbrock():
     def rosen(x):
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
-    x, f = nelder_mead(rosen, np.array([-1.2, 1.0]),
-                       OptimizerOptions(max_evals=5000))
-    assert f < 1e-6
-    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-2)
+    res = nelder_mead(rosen, np.array([-1.2, 1.0]),
+                      OptimizerOptions(max_evals=5000))
+    assert res.fun < 1e-6
+    np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-2)
 
 
 def test_nelder_mead_never_worse_than_start():
     def obj(x):
         return 3.25
 
-    x, f = nelder_mead(obj, np.array([0.7]), OptimizerOptions(max_evals=5))
-    assert f == pytest.approx(3.25)
+    res = nelder_mead(obj, np.array([0.7]), OptimizerOptions(max_evals=5))
+    assert res.fun == pytest.approx(3.25)
 
 
 def test_nelder_mead_restarts_deterministic():
@@ -296,12 +297,14 @@ def test_nelder_mead_restarts_deterministic():
     opts = OptimizerOptions(max_evals=800, restarts=4, seed=42)
     r1 = nelder_mead(bumpy, np.array([3.0, -1.0]), opts)
     r2 = nelder_mead(bumpy, np.array([3.0, -1.0]), opts)
-    np.testing.assert_array_equal(r1[0], r2[0])
-    assert r1[1] == r2[1]
+    np.testing.assert_array_equal(r1.x, r2.x)
+    assert r1.fun == r2.fun
+    assert r1.evaluations == r2.evaluations
     # restarts can only improve on the single-start answer
     single = nelder_mead(bumpy, np.array([3.0, -1.0]),
                          OptimizerOptions(max_evals=800, restarts=1, seed=42))
-    assert r1[1] <= single[1] + 1e-12
+    assert r1.fun <= single.fun + 1e-12
+    assert r1.evaluations > single.evaluations
 
 
 def test_nelder_mead_rejects_non_finite_start():
@@ -318,8 +321,27 @@ def test_nelder_mead_handles_nan_region():
             return math.nan
         return float((x[0] - 0.5) ** 2)
 
-    x, f = nelder_mead(obj, np.array([2.0]), OptimizerOptions(max_evals=500))
-    assert x[0] == pytest.approx(0.5, abs=1e-3)
+    res = nelder_mead(obj, np.array([2.0]), OptimizerOptions(max_evals=500))
+    assert res.x[0] == pytest.approx(0.5, abs=1e-3)
+
+
+def test_nelder_mead_evaluates_the_start_once_and_counts_every_call():
+    # the start's value also serves the first simplex vertex; evaluations
+    # counts the objective's calls, and a search cut by max_evals says so
+    x0 = np.array([0.3, -0.2, 1.1])
+    for max_evals, exhausted in ((15, True), (5000, False)):
+        calls = []
+
+        def obj(x):
+            calls.append(np.array(x))
+            return float(np.sum((x - 1.0) ** 2))
+
+        res = nelder_mead(obj, x0, OptimizerOptions(
+            max_evals=max_evals, simplex_tolerance=1e-6))
+        assert sum(np.array_equal(c, x0) for c in calls) == 1
+        assert res.evaluations == len(calls)
+        assert res.budget_exhausted is exhausted
+    assert len(calls) < 5000
 
 
 def test_optimizer_options_validation():
