@@ -28,8 +28,8 @@ from .diagnostics import (EmptyBin, semivariogram, validation_report,
                           variogram_csv_rows)
 from .inference import (ArtifactError, ModelFit, OptimizationFailed,
                         PriorSpec, TooFewObservations, UnknownEvent,
-                        event_log_posterior, event_statistics,
-                        fit as fit_model, format_fit, load_fit)
+                        event_statistics, fit as fit_model, format_fit,
+                        load_fit)
 from .numerics import NotPositiveDefinite, NotPSD, OptimizerOptions
 from .prediction import (CovarianceTooLarge, export_grids, points_csv_rows,
                          posterior_field, predict_grid, sample_field)
@@ -338,7 +338,7 @@ def cmd_validate(args) -> int:
         train, hold = holdout_split(ds, n_hold, split_seed)
         ef = event_statistics(train, result.theta, result.prior)
         sub = ModelFit(theta=result.theta, events=(ef,), prior=result.prior,
-                       log_posterior=event_log_posterior(ef, result.prior))
+                       log_posterior=ef.log_evidence)
         report = validation_report(sub, train, hold)
         comments = _header(result.theta, cfg.config_hash)
         comments.append(f"event {ds.event} holdout {n_hold} seed {split_seed}")

@@ -95,7 +95,6 @@ class GridField:
     origin: tuple
     spacing: tuple
     values: np.ndarray
-    coordinate_system: str = "rotated-grid"
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
@@ -143,13 +142,12 @@ class EventDataset:
                             threshold=self.threshold, stations=st)
 
 
-def load_stations(path, schema=STATION_COLUMNS) -> StationSet:
+def load_stations(path) -> StationSet:
     """Read a station CSV with columns event,station,s1,s2,gust.
 
     Raises :class:`ParseError` with the offending line number on any bad
     row and :class:`DuplicateStation` on a repeated (event, station) key.
     """
-    schema = tuple(schema)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -157,25 +155,23 @@ def load_stations(path, schema=STATION_COLUMNS) -> StationSet:
         except StopIteration:
             raise ShortFile(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if header != list(schema):
+        if header != list(STATION_COLUMNS):
             raise HeaderMismatch(
-                f"{path}: expected header {','.join(schema)}, got {','.join(header)}")
-        pos = {name: header.index(name) for name in STATION_COLUMNS}
+                f"{path}: expected header {','.join(STATION_COLUMNS)}, "
+                f"got {','.join(header)}")
         records = []
         seen = set()
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != len(schema):
-                raise ParseError(lineno, f"expected {len(schema)} fields, got {len(row)}")
-            event = row[pos["event"]].strip()
-            station = row[pos["station"]].strip()
+            if len(row) != len(STATION_COLUMNS):
+                raise ParseError(lineno, f"expected {len(STATION_COLUMNS)} "
+                                 f"fields, got {len(row)}")
+            event, station = row[0].strip(), row[1].strip()
             if not event or not station:
                 raise ParseError(lineno, "empty event or station identifier")
             try:
-                s1 = float(row[pos["s1"]])
-                s2 = float(row[pos["s2"]])
-                gust = float(row[pos["gust"]])
+                s1, s2, gust = (float(v) for v in row[2:])
             except ValueError as exc:
                 raise ParseError(lineno, f"bad numeric field: {exc}") from None
             if not (np.isfinite(s1) and np.isfinite(s2)):

@@ -4,7 +4,9 @@ The marginal model for one event is y = H beta + eta with
 eta ~ N(0, sigma2 * A), A the nugget-augmented correlation matrix, and a
 normal inverse-gamma prior on (beta, sigma2). Those integrals are
 closed-form, so the hyperparameters theta are the only thing fitted
-numerically; a single theta is shared across all events.
+numerically; a single theta is shared across all events. One
+:class:`EventFit` per event, built by :func:`event_statistics`, holds
+that update for both the theta objective and prediction.
 """
 
 from __future__ import annotations
@@ -109,60 +111,16 @@ def basis_matrix(x, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EventFit:
-    """Closed-form posterior summaries for one event at fixed theta."""
+    """One event's conjugate update at fixed theta, built only by
+    :func:`event_statistics`.
 
-    event: str
-    beta_hat: np.ndarray
-    sigma_hat2: float
-    A_factor: CholeskyFactor
-    Bstar: np.ndarray
-    weights: np.ndarray           # A^{-1} (y - H beta_hat)
-    K: int
-    df: float                     # K + d
-    # cached pieces reused by prediction and the theta objective
-    dataset: EventDataset
-    H: np.ndarray
-    locations_rot: np.ndarray
-    Ainv_H: np.ndarray
-    S: float
-    logdet_Bstar: float
-    sigma_floored: bool
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.dataset.x
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.dataset.y
-
-
-@dataclass(frozen=True)
-class _EventTerms:
-    """The theta-independent pieces of one event's conjugate update."""
+    The stored fields are what the evidence needs. ``weights``,
+    ``Ainv_H`` and ``Bstar``, which only prediction reads, are computed
+    on first use, so the theta objective never pays for them.
+    """
 
     dataset: EventDataset
     H: np.ndarray
-    yh: np.ndarray                # [y | H], solved through L in one call
-
-    @classmethod
-    def of(cls, dataset, prior: PriorSpec) -> "_EventTerms":
-        if isinstance(dataset, cls):    # built once per fit by fit()
-            return dataset
-        K = len(dataset)
-        if K <= prior.q:
-            raise TooFewObservations(
-                f"event {dataset.event}: K={K} pairs but basis has "
-                f"q={prior.q} coefficients")
-        h = basis_matrix(dataset.x, prior.q)
-        return cls(dataset=dataset, H=h, yh=np.column_stack([dataset.y, h]))
-
-
-@dataclass(frozen=True)
-class _Update:
-    """One event's conjugate update at fixed theta, as the evidence needs it."""
-
-    K: int
     locations_rot: np.ndarray
     A_factor: CholeskyFactor
     W_H: np.ndarray               # L^{-1} H
@@ -172,27 +130,76 @@ class _Update:
     S: float
     sigma_hat2: float
     sigma_floored: bool
+    df: float                     # K + d
+
+    @property
+    def event(self) -> str:
+        return self.dataset.event
+
+    @property
+    def K(self) -> int:
+        return len(self.dataset)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.dataset.x
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.dataset.y
 
     @property
     def logdet_Bstar(self) -> float:
         return -self.Bstar_inv_factor.logdet
 
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        # A^{-1} (y - H beta_hat)
+        return self.A_factor.solve_upper(self.resid_w)
 
-def _conjugate_update(terms: _EventTerms, theta: Hyperparameters,
-                      prior: PriorSpec) -> _Update:
-    """Factor A = L L^T and update the prior through one triangular solve.
+    @functools.cached_property
+    def Ainv_H(self) -> np.ndarray:
+        return self.A_factor.solve_upper(self.W_H)
 
-    W = L^{-1} [y | H] gives y^T A^{-1} y, H^T A^{-1} y and H^T A^{-1} H
-    as products of its columns. The scale term is summed from two
-    nonnegative parts, S = a + |W_y - W_H beta_hat|^2
-    + (beta_hat - b)^T B^{-1} (beta_hat - b), which equals
-    a + b^T B^{-1} b + y^T A^{-1} y - beta_hat^T (B*)^{-1} beta_hat without
-    its cancellation when y sits far from zero.
+    @functools.cached_property
+    def Bstar(self) -> np.ndarray:
+        bstar = self.Bstar_inv_factor.solve(np.eye(len(self.beta_hat)))
+        return 0.5 * (bstar + bstar.T)
+
+    @property
+    def log_evidence(self) -> float:
+        """Log of the (beta, sigma2)-marginalized likelihood, up to a
+        theta-independent constant; -inf when the scale estimate
+        collapsed to its floor."""
+        if self.sigma_floored:
+            return -math.inf
+        return (-self.df * 0.5 * math.log(self.sigma_hat2)
+                - 0.5 * self.A_factor.logdet + 0.5 * self.logdet_Bstar)
+
+
+def event_statistics(dataset: EventDataset, theta: Hyperparameters,
+                     prior: PriorSpec) -> EventFit:
+    """Conjugate update for one event at fixed hyperparameters.
+
+    Factors A = L L^T and solves W = L^{-1} [y | H] once; y^T A^{-1} y,
+    H^T A^{-1} y and H^T A^{-1} H are products of its columns. Then
+    B* = (B^{-1} + H^T A^{-1} H)^{-1}, the posterior coefficient mean
+    beta_hat = B* (B^{-1} b + H^T A^{-1} y), and the scale estimate
+    sigma_hat2 = S / (K + d), floored at 1e-10, with S summed from two
+    nonnegative parts, S = a + (y - H beta_hat)^T A^{-1} (y - H beta_hat)
+    + (beta_hat - b)^T B^{-1} (beta_hat - b). That equals
+    a + b^T B^{-1} b + y^T A^{-1} y - beta_hat^T (B*)^{-1} beta_hat
+    without its cancellation when y sits far from zero.
     """
-    ds = terms.dataset
-    loc_t = rotate_array(ds.locations, theta.omega)
-    a_factor = cholesky(correlation_matrix_arrays(theta, loc_t, ds.x))
-    w = a_factor.solve_lower(terms.yh)
+    K = len(dataset)
+    if K <= prior.q:
+        raise TooFewObservations(
+            f"event {dataset.event}: K={K} pairs but basis has "
+            f"q={prior.q} coefficients")
+    h = basis_matrix(dataset.x, prior.q)
+    loc_t = rotate_array(dataset.locations, theta.omega)
+    a_factor = cholesky(correlation_matrix_arrays(theta, loc_t, dataset.x))
+    w = a_factor.solve_lower(np.column_stack([dataset.y, h]))
     w_y, w_h = w[:, 0], w[:, 1:]
     binv, binv_b = prior._precision
     bstar_inv = binv + w_h.T @ w_h
@@ -201,53 +208,13 @@ def _conjugate_update(terms: _EventTerms, theta: Hyperparameters,
     resid_w = w_y - w_h @ beta_hat
     db = beta_hat - prior.b
     s = prior.a + float(resid_w @ resid_w) + float(db @ binv @ db)
-    K = len(ds)
-    raw_sigma2 = s / (K + prior.d)
-    return _Update(K=K, locations_rot=loc_t, A_factor=a_factor, W_H=w_h,
-                   resid_w=resid_w, beta_hat=beta_hat,
-                   Bstar_inv_factor=bstar_inv_factor, S=s,
-                   sigma_hat2=max(raw_sigma2, SIGMA2_FLOOR),
-                   sigma_floored=raw_sigma2 < SIGMA2_FLOOR)
-
-
-def event_statistics(dataset: EventDataset, theta: Hyperparameters,
-                     prior: PriorSpec) -> EventFit:
-    """Conjugate update for one event at fixed hyperparameters.
-
-    Computes B* = (B^{-1} + H^T A^{-1} H)^{-1}, the posterior coefficient
-    mean beta_hat = B* (B^{-1} b + H^T A^{-1} y), and the scale estimate
-    sigma_hat2 = S / (K + d) with
-    S = a + (y - H beta_hat)^T A^{-1} (y - H beta_hat)
-    + (beta_hat - b)^T B^{-1} (beta_hat - b), floored at 1e-10.
-    """
-    terms = _EventTerms.of(dataset, prior)
-    u = _conjugate_update(terms, theta, prior)
-    bstar = u.Bstar_inv_factor.solve(np.eye(prior.q))
-    return EventFit(event=dataset.event, beta_hat=u.beta_hat,
-                    sigma_hat2=u.sigma_hat2, A_factor=u.A_factor,
-                    Bstar=0.5 * (bstar + bstar.T),
-                    weights=u.A_factor.solve_upper(u.resid_w),
-                    K=u.K, df=u.K + prior.d, dataset=dataset, H=terms.H,
-                    locations_rot=u.locations_rot,
-                    Ainv_H=u.A_factor.solve_upper(u.W_H),
-                    S=u.S, logdet_Bstar=u.logdet_Bstar,
-                    sigma_floored=u.sigma_floored)
-
-
-def _event_log_evidence(ef, prior: PriorSpec) -> float:
-    # log of the (beta, sigma2)-marginalized likelihood for one event, up
-    # to a theta-independent constant
-    return (-(ef.K + prior.d) * 0.5 * math.log(ef.sigma_hat2)
-            - 0.5 * ef.A_factor.logdet + 0.5 * ef.logdet_Bstar)
-
-
-def event_log_posterior(ef: EventFit, prior: PriorSpec) -> float:
-    """One event's term of :func:`log_posterior_theta`, from its EventFit
-    (or the update it is built on): the marginalized evidence, or -inf
-    when the scale estimate collapsed to its floor."""
-    if ef.sigma_floored:
-        return -math.inf
-    return _event_log_evidence(ef, prior)
+    df = K + prior.d
+    raw_sigma2 = s / df
+    return EventFit(dataset=dataset, H=h, locations_rot=loc_t,
+                    A_factor=a_factor, W_H=w_h, resid_w=resid_w,
+                    beta_hat=beta_hat, Bstar_inv_factor=bstar_inv_factor,
+                    S=s, sigma_hat2=max(raw_sigma2, SIGMA2_FLOOR),
+                    sigma_floored=raw_sigma2 < SIGMA2_FLOOR, df=df)
 
 
 def log_posterior_theta(datasets, theta: Hyperparameters,
@@ -260,11 +227,15 @@ def log_posterior_theta(datasets, theta: Hyperparameters,
     """
     total = 0.0
     for ds in datasets:
+        # ef stays bound while the next event's update is built: freeing
+        # each update first lets malloc hand its pages back and fault them
+        # in again (2.8x the minor page faults and a 25 % slower objective
+        # for 10 events x 200 stations on a 2-CPU VM)
         try:
-            u = _conjugate_update(_EventTerms.of(ds, prior), theta, prior)
+            ef = event_statistics(ds, theta, prior)
         except NotPositiveDefinite:
             return -math.inf
-        total += event_log_posterior(u, prior)
+        total += ef.log_evidence
         if total == -math.inf:
             return total
     return total
@@ -347,7 +318,6 @@ def fit(datasets, prior: PriorSpec, opts: OptimizerOptions,
     datasets = list(datasets)
     if not datasets:
         raise ValueError("fit requires at least one event dataset")
-    terms = [_EventTerms.of(ds, prior) for ds in datasets]
     if theta0 is None:
         theta0 = default_theta0(datasets)
 
@@ -355,7 +325,7 @@ def fit(datasets, prior: PriorSpec, opts: OptimizerOptions,
         theta = _unpack(np.asarray(z, dtype=float))
         if theta is None:
             return math.inf
-        lp = log_posterior_theta(terms, theta, prior)
+        lp = log_posterior_theta(datasets, theta, prior)
         return -lp if math.isfinite(lp) else math.inf
 
     try:
@@ -488,7 +458,7 @@ def load_fit(path) -> ModelFit:
             raise ArtifactError(f"{path}: malformed end marker")
     except (ValueError, IndexError) as exc:
         raise ArtifactError(f"{path}: {exc}") from None
-    lp = sum(_event_log_evidence(ef, prior) for ef in events)
+    lp = sum(ef.log_evidence for ef in events)
     if not math.isclose(lp, stored_lp, rel_tol=1e-6, abs_tol=1e-6):
         log.debug("stored log_posterior %.6g differs from recomputed %.6g",
                   stored_lp, lp)

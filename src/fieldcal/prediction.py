@@ -243,12 +243,10 @@ def predict_grid(fit: ModelFit, event: str, grid: GridField,
 
 def _scatter(grid: GridField, pf: PosteriorField, values) -> GridField:
     flat = np.full(grid.n1 * grid.n2, np.nan)
-    idx = pf.cell_index if pf.cell_index is not None else np.arange(len(values))
-    flat[idx] = values
+    flat[pf.cell_index] = values
     return GridField(event=grid.event, n1=grid.n1, n2=grid.n2,
                      origin=grid.origin, spacing=grid.spacing,
-                     values=flat.reshape(grid.n1, grid.n2),
-                     coordinate_system=grid.coordinate_system)
+                     values=flat.reshape(grid.n1, grid.n2))
 
 
 def export_grids(pf: PosteriorField, grid: GridField):

@@ -7,6 +7,7 @@ tautology.
 """
 
 import math
+import types
 
 import numpy as np
 from scipy.integrate import dblquad, quad
@@ -389,8 +390,8 @@ def event_statistics_reference(dataset, theta, prior):
     which cancels when y sits far from zero compared with its residuals.
     """
     from fieldcal.covariance import correlation_matrix_arrays, rotate_array
-    from fieldcal.inference import (SIGMA2_FLOOR, EventFit,
-                                    TooFewObservations, basis_matrix)
+    from fieldcal.inference import (SIGMA2_FLOOR, TooFewObservations,
+                                    basis_matrix)
     from fieldcal.numerics import cholesky
 
     K = len(dataset)
@@ -422,18 +423,17 @@ def event_statistics_reference(dataset, theta, prior):
     sigma_hat2 = max(raw_sigma2, SIGMA2_FLOOR)
     weights = ainv_y - ainv_h @ beta_hat
 
-    return EventFit(event=dataset.event, beta_hat=beta_hat,
-                    sigma_hat2=sigma_hat2, A_factor=a_factor, Bstar=bstar,
-                    weights=weights, K=K, df=K + prior.d, dataset=dataset,
-                    H=h, locations_rot=loc_t, Ainv_H=ainv_h, S=s,
-                    logdet_Bstar=-bstar_factor.logdet, sigma_floored=floored)
+    return types.SimpleNamespace(
+        event=dataset.event, beta_hat=beta_hat, sigma_hat2=sigma_hat2,
+        A_factor=a_factor, Bstar=bstar, weights=weights, K=K, df=K + prior.d,
+        dataset=dataset, H=h, locations_rot=loc_t, Ainv_H=ainv_h, S=s,
+        logdet_Bstar=-bstar_factor.logdet, sigma_floored=floored)
 
 
 def log_posterior_reference(datasets, theta, prior):
     """The theta objective as one full :func:`event_statistics_reference`
     per event: the sum of the marginalized evidences, -inf when A fails
     to factorize or the scale estimate collapses to its floor."""
-    from fieldcal.inference import event_log_posterior
     from fieldcal.numerics import NotPositiveDefinite
 
     total = 0.0
@@ -442,9 +442,10 @@ def log_posterior_reference(datasets, theta, prior):
             ef = event_statistics_reference(ds, theta, prior)
         except NotPositiveDefinite:
             return -math.inf
-        total += event_log_posterior(ef, prior)
-        if total == -math.inf:
-            return total
+        if ef.sigma_floored:
+            return -math.inf
+        total += (-(ef.K + prior.d) * 0.5 * math.log(ef.sigma_hat2)
+                  - 0.5 * ef.A_factor.logdet + 0.5 * ef.logdet_Bstar)
     return total
 
 

@@ -116,15 +116,21 @@ def test_gls_limit_under_vague_prior():
     np.testing.assert_allclose(h.T @ ef.weights, np.zeros(2), atol=1e-6)
 
 
-def test_exact_prior_mean_data():
-    # y drawn exactly from the prior mean surface with a = 0 gives back b
-    # and a floored scale estimate
+def prior_mean_event():
+    # y drawn exactly from the prior mean surface with a = 0
     rng = np.random.default_rng(11)
     ds = make_dataset(rng, 9)
     b = np.array([2.0, 0.8, -0.01])
     y = basis_matrix(ds.x, 3) @ b
     ds = EventDataset(ds.event, ds.locations, ds.x, y, threshold=15.0)
-    prior = PriorSpec(b=b, B=np.diag([0.5, 0.5, 0.5]), a=0.0, d=0.0)
+    return ds, PriorSpec(b=b, B=np.diag([0.5, 0.5, 0.5]), a=0.0, d=0.0)
+
+
+def test_exact_prior_mean_data():
+    # data on the prior mean surface give back b and a floored scale
+    # estimate
+    ds, prior = prior_mean_event()
+    b = prior.b
     ef = event_statistics(ds, THETA, prior)
     np.testing.assert_allclose(ef.beta_hat, b, rtol=1e-9)
     assert ef.sigma_floored
@@ -430,6 +436,30 @@ def test_artifact_round_trip(tmp_path):
     commented.write_text("# tool x\n# config abc\n" + path.read_text())
     back2 = load_fit(commented)
     assert back2.theta == mf.theta
+
+
+def test_reloaded_log_posterior_is_the_objective(tmp_path):
+    # load_fit reports the objective's value, -inf for a floored scale
+    # estimate included, not an evidence that ignores the floor
+    floored, floored_prior = prior_mean_event()
+    plain = make_dataset(np.random.default_rng(61), 12)
+    for ds, prior in ((floored, floored_prior), (plain, default_prior())):
+        lp = log_posterior_theta([ds], THETA, prior)
+        path = tmp_path / "fit.out"
+        save_fit(ModelFit(theta=THETA, prior=prior, log_posterior=lp,
+                          events=(event_statistics(ds, THETA, prior),)), path)
+        assert load_fit(path).log_posterior == lp
+    assert lp > -math.inf
+
+
+def test_prediction_terms_are_computed_on_first_use():
+    rng = np.random.default_rng(63)
+    ds = make_dataset(rng, 10, event="lazy")
+    ef = event_statistics(ds, THETA, default_prior())
+    assert {"weights", "Ainv_H", "Bstar"}.isdisjoint(vars(ef))
+    assert (ef.event, ef.K) == ("lazy", 10)
+    w = ef.weights
+    assert ef.weights is w and "Bstar" not in vars(ef)
 
 
 def test_artifact_errors(tmp_path):
