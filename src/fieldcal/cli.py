@@ -269,37 +269,33 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if bool(args.grid) == bool(args.points):
+        raise ConfigError("predict needs exactly one of --grid or --points")
     result = load_fit(args.fit)
     os.makedirs(args.outdir, exist_ok=True)
-    if (args.grid is None) == (args.points is None):
-        raise ConfigError("predict needs exactly one of --grid or --points")
+    run_hash = _artifact_hash(args.fit, "predict", args.event,
+                              args.grid or args.points, args.full_cov,
+                              args.interval)
+    comments = _header(result.theta, run_hash)
     if args.grid:
-        run_hash = _artifact_hash(args.fit, "predict", args.event, args.grid,
-                                  args.full_cov, args.interval)
         grid = load_grid(args.grid)
         pf = predict_grid(result, args.event, grid, full_cov=args.full_cov)
-        comments = _header(result.theta, run_hash)
         for name, gf in export_grids(pf, grid).items():
             path = os.path.join(args.outdir, f"predict_{args.event}_{name}.fg")
             tmp = f"{path}.tmp"
             save_grid(gf, tmp, header_comments=comments)
             os.replace(tmp, path)
-        if args.full_cov:
-            _write_covariance(args.outdir, args.event, pf, comments)
         log.info("grid prediction written for event %s", args.event)
     else:
-        run_hash = _artifact_hash(args.fit, "predict", args.event, args.points,
-                                  args.full_cov, args.interval)
         loc, x = load_points(args.points)
         pf = posterior_field(result, args.event, (loc, x),
                              full_cov=args.full_cov)
         header, rows = points_csv_rows(pf, law=args.interval)
         path = os.path.join(args.outdir, f"predict_{args.event}_points.csv")
-        _write_csv(path, _header(result.theta, run_hash), header, rows)
-        if args.full_cov:
-            _write_covariance(args.outdir, args.event, pf,
-                              _header(result.theta, run_hash))
+        _write_csv(path, comments, header, rows)
         log.info("point predictions written to %s", path)
+    if args.full_cov:
+        _write_covariance(args.outdir, args.event, pf, comments)
     return 0
 
 
@@ -339,7 +335,7 @@ def cmd_validate(args) -> int:
         ef = event_statistics(train, result.theta, result.prior)
         sub = ModelFit(theta=result.theta, events=(ef,), prior=result.prior,
                        log_posterior=ef.log_evidence)
-        report = validation_report(sub, train, hold)
+        report = validation_report(sub, hold)
         comments = _header(result.theta, cfg.config_hash)
         comments.append(f"event {ds.event} holdout {n_hold} seed {split_seed}")
 
@@ -377,8 +373,7 @@ def cmd_variogram(args) -> int:
         raise ConfigError(f"--bins must be >= 3, got {args.bins}")
     result = load_fit(args.fit)
     os.makedirs(args.outdir, exist_ok=True)
-    ef = result.event(args.event)
-    table = semivariogram(ef.dataset, result, args.var, args.bins,
+    table = semivariogram(result, args.event, args.var, args.bins,
                           seed=args.seed)
     run_hash = _artifact_hash(args.fit, "variogram", args.event, args.var,
                               args.bins, args.seed)

@@ -224,6 +224,13 @@ def load_grid(path) -> GridField:
         d1, d2 = (float(v) for v in fields_of(4, "spacing", 2))
     except ValueError as exc:
         raise HeaderMismatch(f"{path}: bad header number: {exc}") from None
+    if n1 < 1 or n2 < 1:
+        raise HeaderMismatch(f"{path}: dims must be >= 1, got {header[2]!r}")
+    if not (np.isfinite(o1) and np.isfinite(o2)):
+        raise HeaderMismatch(f"{path}: origin must be finite, got {header[3]!r}")
+    if not (0.0 < d1 < np.inf and 0.0 < d2 < np.inf):
+        raise HeaderMismatch(
+            f"{path}: spacing must be finite and > 0, got {header[4]!r}")
     tokens = " ".join(lines[i + 5:]).split()
     need = n1 * n2
     if len(tokens) < need:
@@ -373,21 +380,26 @@ def load_points(path):
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row and row[0].lstrip()[:1] != "#"]
+        # (file line, row): comment and blank lines are skipped, not renumbered
+        rows = [(reader.line_num, row) for row in reader
+                if row and row[0].lstrip()[:1] != "#"]
     if not rows:
         raise ShortFile(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     if header != ["s1", "s2", "x"]:
         raise HeaderMismatch(f"{path}: expected header s1,s2,x")
     loc, x = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != 3:
             raise ParseError(lineno, f"expected 3 fields, got {len(row)}")
         try:
-            loc.append((float(row[0]), float(row[1])))
-            x.append(float(row[2]))
+            s1, s2, xi = (float(v) for v in row)
         except ValueError as exc:
             raise ParseError(lineno, f"bad numeric field: {exc}") from None
+        if not (np.isfinite(s1) and np.isfinite(s2) and np.isfinite(xi)):
+            raise ParseError(lineno, "non-finite value")
+        loc.append((s1, s2))
+        x.append(xi)
     if not x:
         raise EmptyDataset(f"{path}: no target points")
     return np.array(loc), np.array(x)

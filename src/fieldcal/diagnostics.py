@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
-from .covariance import correlation_matrix_arrays, rotate_array
+from .covariance import smooth_correlation
 from .dataio import EventDataset
-from .inference import ModelFit, basis_matrix
-from .numerics import cholesky, f_sf, pivoted_cholesky, std_normal_quantile
+from .inference import ModelFit
+from .numerics import f_sf, pivoted_cholesky, std_normal_quantile
 from .prediction import predictive_measurements
 
 BIN_VARIABLES = ("h1", "h2", "delta_intensity")
@@ -63,16 +63,6 @@ class VariogramTable:
         return float(np.mean(ok))
 
 
-def _pair_values(dataset: EventDataset, fit: ModelFit, variable: str):
-    theta = fit.theta
-    loc_t = rotate_array(dataset.locations, theta.omega)
-    columns = {"h1": loc_t[:, 0], "h2": loc_t[:, 1],
-               "delta_intensity": dataset.x}
-    if variable not in columns:
-        raise ValueError(f"binning variable must be one of {BIN_VARIABLES}")
-    return pdist(columns[variable][:, None], "cityblock"), loc_t
-
-
 def _bin_assignment(v: np.ndarray, bins: int):
     edges = np.quantile(v, np.linspace(0.0, 1.0, bins + 1))
     idx = np.clip(np.searchsorted(edges, v, side="right") - 1, 0, bins - 1)
@@ -88,9 +78,10 @@ def _bin_means(values: np.ndarray, idx: np.ndarray, bins: int,
     return np.bincount(idx, weights=values, minlength=bins) / counts
 
 
-def semivariogram(dataset: EventDataset, fit: ModelFit, variable: str,
-                  bins: int, reps: int = 200, seed: int = 0) -> VariogramTable:
-    """Equal-count binned semivariogram of regression residuals.
+def semivariogram(fit: ModelFit, event: str, variable: str, bins: int,
+                  reps: int = 200, seed: int = 0) -> VariogramTable:
+    """Equal-count binned semivariogram of one fitted event's regression
+    residuals.
 
     Pairs are formed within the event only and binned on ``variable``
     (rotated-axis separation h1/h2 or intensity gap). The model column
@@ -98,20 +89,20 @@ def semivariogram(dataset: EventDataset, fit: ModelFit, variable: str,
     95% bounds come from ``reps`` parametric simulations of the residual
     field under the fitted model, re-binned identically.
     """
-    if len(dataset) < 2:
-        raise ValueError("semivariogram needs at least 2 observations")
     if bins < 3:
         raise ValueError("bins must be >= 3")
-    ef = fit.event(dataset.event)
+    ef = fit.event(event)
     theta = fit.theta
-    e = dataset.y - basis_matrix(dataset.x, fit.prior.q) @ ef.beta_hat
-
-    v, loc_t = _pair_values(dataset, fit, variable)
+    columns = {"h1": ef.locations_rot[:, 0], "h2": ef.locations_rot[:, 1],
+               "delta_intensity": ef.x}
+    if variable not in columns:
+        raise ValueError(f"binning variable must be one of {BIN_VARIABLES}")
+    v = pdist(columns[variable][:, None], "cityblock")
     edges, idx, counts = _bin_assignment(v, bins)
-    a_mat = correlation_matrix_arrays(theta, loc_t, dataset.x)
-    # the off-diagonal of A is the smooth correlation of every pair
-    smooth = squareform(a_mat, checks=False)
+    e = ef.y - ef.H @ ef.beta_hat
     emp_pairs = 0.5 * pdist(e[:, None], "cityblock") ** 2
+    # every pair's smooth correlation, in the same condensed order as v
+    smooth = smooth_correlation(theta, ef.locations_rot, ef.x)
     model_pairs = ef.sigma_hat2 * (1.0 + theta.lambda2 - smooth)
 
     empirical = _bin_means(emp_pairs, idx, bins, counts)
@@ -119,11 +110,11 @@ def semivariogram(dataset: EventDataset, fit: ModelFit, variable: str,
     center = _bin_means(v, idx, bins, counts)
 
     # parametric MC: residual fields drawn from the fitted marginal model
-    lower_factor = cholesky(a_mat).lower * np.sqrt(ef.sigma_hat2)
+    lower_factor = ef.A_factor.lower * np.sqrt(ef.sigma_hat2)
     rng = np.random.default_rng(seed)
     sims = np.empty((reps, bins))
     for r in range(reps):
-        e_star = lower_factor @ rng.standard_normal(len(dataset))
+        e_star = lower_factor @ rng.standard_normal(ef.K)
         sims[r] = _bin_means(0.5 * pdist(e_star[:, None], "cityblock") ** 2,
                              idx, bins, counts)
     lower = np.quantile(sims, 0.025, axis=0)
@@ -136,16 +127,6 @@ def semivariogram(dataset: EventDataset, fit: ModelFit, variable: str,
     return VariogramTable(binning_variable=variable, bin_edges=edges,
                           bin_center=center, empirical=empirical, model=model,
                           lower95=lower, upper95=upper, counts=counts)
-
-
-def _check_training(fit: ModelFit, train: EventDataset):
-    ef = fit.event(train.event)
-    same = (ef.K == len(train)
-            and np.allclose(ef.dataset.x, train.x)
-            and np.allclose(ef.dataset.y, train.y))
-    if not same:
-        raise ValueError("fit was not built from the supplied training data")
-    return ef
 
 
 @dataclass(frozen=True)
@@ -171,9 +152,10 @@ class ValidationReport:
             raise ValueError("p-value must lie in [0, 1]")
 
 
-def validation_report(fit: ModelFit, train: EventDataset,
+def validation_report(fit: ModelFit,
                       validation: EventDataset) -> ValidationReport:
-    """Held-out diagnostics from one predictive distribution of the holdout.
+    """Held-out diagnostics from one predictive distribution of the holdout,
+    conditioned on the fit's update of the holdout's event.
 
     With r = Y - m and V the joint predictive covariance of the held-out
     measurements:
@@ -189,10 +171,7 @@ def validation_report(fit: ModelFit, train: EventDataset,
     Any n >= 1 works: at n = 1 the pivoted error is the standardized
     error and F(1, K - q) is the squared t test.
     """
-    ef = _check_training(fit, train)
-    df2 = ef.K - fit.prior.q
-    if df2 <= 0:
-        raise ValueError("training degrees of freedom must be positive")
+    df2 = fit.event(validation.event).K - fit.prior.q
     pf = predictive_measurements(fit, validation.event,
                                  (validation.locations, validation.x),
                                  full_cov=True)

@@ -8,7 +8,7 @@ mean with an inflated basis-term variance instead of collapsing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,25 +89,11 @@ class PosteriorField:
         return self.mean - half, self.mean + half
 
 
-def _normalize_targets(targets):
-    """Accept [(location, x), ...], an (n, 3) array, or (loc, x) arrays."""
-    if isinstance(targets, tuple) and len(targets) == 2:
-        loc, x = targets
-        return np.atleast_2d(np.asarray(loc, dtype=float)), \
-            np.atleast_1d(np.asarray(x, dtype=float))
-    arr = np.asarray(targets, dtype=object)
-    if isinstance(targets, np.ndarray) and targets.ndim == 2 and targets.shape[1] == 3:
-        t = np.asarray(targets, dtype=float)
-        return t[:, :2].copy(), t[:, 2].copy()
-    loc = np.array([[float(t[0][0]), float(t[0][1])] for t in arr])
-    x = np.array([float(t[1]) for t in arr])
-    return loc, x
-
-
-def _conditional(fit: ModelFit, event: str, loc, x, full_cov: bool,
-                 add_noise: bool):
+def _conditional(fit: ModelFit, event: str, targets, full_cov: bool,
+                 add_noise: bool) -> PosteriorField:
     ef = fit.event(event)
     theta, prior = fit.theta, fit.prior
+    loc, x = targets
     loc = np.atleast_2d(np.asarray(loc, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if loc.shape[0] != x.shape[0] or loc.shape[1] != 2:
@@ -124,7 +110,6 @@ def _conditional(fit: ModelFit, event: str, loc, x, full_cov: bool,
     # of Z) and micro-scale field variance (diagonal of Z only)
     nugget_z = max(theta.lambda2 - prior.sigmaY ** 2 / ef.sigma_hat2, 0.0)
     noise = prior.sigmaY ** 2 if add_noise else 0.0
-    df = ef.K - prior.q
 
     def block(rows):
         """T, the posterior mean and H_t - T A^{-1} H for a slice of targets."""
@@ -143,38 +128,38 @@ def _conditional(fit: ModelFit, event: str, loc, x, full_cov: bool,
         cov *= ef.sigma_hat2
         cov[np.diag_indices_from(cov)] += noise
         cov = 0.5 * (cov + cov.T)
-        return loc, x, mean, np.diag(cov).copy(), cov, df
-
-    # targets do not couple in the diagonal, so each block of rows is
-    # conditioned on its own and the working set stays a few BLOCK x K
-    # arrays however many targets there are
-    mean = np.empty(n)
-    var = np.empty(n)
-    for lo in range(0, n, BLOCK_TARGETS):
-        blk = slice(lo, lo + BLOCK_TARGETS)
-        t_mat, mean[blk], r = block(blk)
-        # t_i^T A^{-1} t_i = ||L^{-1} t_i||^2, one triangular solve
-        w = ef.A_factor.solve_lower(t_mat.T)
-        var[blk] = (1.0 + nugget_z - np.einsum("ij,ij->j", w, w)
-                    + np.einsum("ij,ij->i", r @ ef.Bstar, r))
-    var = ef.sigma_hat2 * np.clip(var, 0.0, None) + noise
-    return loc, x, mean, var, None, df
+        var = np.diag(cov).copy()
+    else:
+        # targets do not couple in the diagonal, so each block of rows is
+        # conditioned on its own and the working set stays a few BLOCK x K
+        # arrays however many targets there are
+        cov = None
+        mean = np.empty(n)
+        var = np.empty(n)
+        for lo in range(0, n, BLOCK_TARGETS):
+            blk = slice(lo, lo + BLOCK_TARGETS)
+            t_mat, mean[blk], r = block(blk)
+            # t_i^T A^{-1} t_i = ||L^{-1} t_i||^2, one triangular solve
+            w = ef.A_factor.solve_lower(t_mat.T)
+            var[blk] = (1.0 + nugget_z - np.einsum("ij,ij->j", w, w)
+                        + np.einsum("ij,ij->i", r @ ef.Bstar, r))
+        var = ef.sigma_hat2 * np.clip(var, 0.0, None) + noise
+    return PosteriorField(event=event, locations=loc, intensities=x,
+                          mean=mean, variance=var, covariance=cov,
+                          df=ef.K - prior.q,
+                          space="measurement" if add_noise else "actual_field")
 
 
 def posterior_field(fit: ModelFit, event: str, targets,
                     full_cov: bool = False) -> PosteriorField:
     """Posterior of the actual field Z at target (location, intensity) records.
 
-    The mean is H_t beta_hat + T A^{-1} (y - H beta_hat); the covariance
-    is sigma_hat2 times the conditioned correlation, including the
+    ``targets`` is a (locations (n, 2), intensities (n,)) pair. The mean
+    is H_t beta_hat + T A^{-1} (y - H beta_hat); the covariance is
+    sigma_hat2 times the conditioned correlation, including the
     coefficient-uncertainty term through B*.
     """
-    loc, x = _normalize_targets(targets)
-    loc, x, mean, var, cov, df = _conditional(fit, event, loc, x, full_cov,
-                                              add_noise=False)
-    return PosteriorField(event=event, locations=loc, intensities=x,
-                          mean=mean, variance=var, covariance=cov, df=df,
-                          space="actual_field")
+    return _conditional(fit, event, targets, full_cov, add_noise=False)
 
 
 def predictive_measurements(fit: ModelFit, event: str, targets,
@@ -184,12 +169,7 @@ def predictive_measurements(fit: ModelFit, event: str, targets,
     Identical to :func:`posterior_field` except the measurement-error
     variance is added to the diagonal.
     """
-    loc, x = _normalize_targets(targets)
-    loc, x, mean, var, cov, df = _conditional(fit, event, loc, x, full_cov,
-                                              add_noise=True)
-    return PosteriorField(event=event, locations=loc, intensities=x,
-                          mean=mean, variance=var, covariance=cov, df=df,
-                          space="measurement")
+    return _conditional(fit, event, targets, full_cov, add_noise=True)
 
 
 def sample_field(posterior: PosteriorField, n: int, seed: int) -> np.ndarray:
@@ -230,15 +210,10 @@ def predict_grid(fit: ModelFit, event: str, grid: GridField,
     valid = np.flatnonzero(np.isfinite(vals))
     if valid.size == 0:
         raise ValueError("grid has no non-missing cells")
-    loc = centers[valid]
-    x = vals[valid]
-    loc, x, mean, var, cov, df = _conditional(fit, event, loc, x, full_cov,
-                                              add_noise=False)
-    return PosteriorField(event=event, locations=loc, intensities=x,
-                          mean=mean, variance=var, covariance=cov, df=df,
-                          space="actual_field",
-                          extrapolated=x <= ef.dataset.threshold,
-                          cell_index=valid)
+    pf = _conditional(fit, event, (centers[valid], vals[valid]), full_cov,
+                      add_noise=False)
+    return replace(pf, extrapolated=pf.intensities <= ef.dataset.threshold,
+                   cell_index=valid)
 
 
 def _scatter(grid: GridField, pf: PosteriorField, values) -> GridField:

@@ -338,7 +338,7 @@ def save_grid_reference(grid, path, header_comments=()):
         fh.write(buf.getvalue())
 
 
-def validation_reference(fit, train, validation):
+def validation_reference(fit, validation):
     """Held-out diagnostics by three separate conditionings.
 
     The code ``diagnostics.validation_report`` ran before it read every
@@ -348,11 +348,9 @@ def validation_reference(fit, train, validation):
     a third through ``cholesky``. Returns (standardized errors, pivoted
     errors, pivot indices, D, p-value).
     """
-    from fieldcal.diagnostics import _check_training
     from fieldcal.numerics import cholesky, f_sf, pivoted_cholesky
     from fieldcal.prediction import predictive_measurements
 
-    _check_training(fit, train)
     pf = predictive_measurements(fit, validation.event,
                                  (validation.locations, validation.x),
                                  full_cov=False)
@@ -360,7 +358,6 @@ def validation_reference(fit, train, validation):
 
     if len(validation) < 2:
         raise ValueError("pivoted_errors needs at least 2 validation points")
-    _check_training(fit, train)
     pf = predictive_measurements(fit, validation.event,
                                  (validation.locations, validation.x),
                                  full_cov=True)
@@ -368,7 +365,7 @@ def validation_reference(fit, train, validation):
     epc = factor.decorrelate(validation.y - pf.mean)
     piv = factor.permutation.copy()
 
-    ef = _check_training(fit, train)
+    ef = fit.event(validation.event)
     q = fit.prior.q
     df2 = ef.K - q
     if df2 <= 0:

@@ -279,7 +279,7 @@ def test_diagnostic_calibration(capsys):
         ef = event_statistics(train, theta, prior)
         mf = ModelFit(theta=theta, events=(ef,), prior=prior,
                       log_posterior=0.0)
-        rep = validation_report(mf, train, hold)
+        rep = validation_report(mf, hold)
         ds_all.append(rep.mahalanobis)
         pvars.append(float(np.var(rep.pivoted_errors, ddof=1)))
     ks = stats.kstest(np.array(ds_all), stats.f(nh, k - prior.q).cdf)
@@ -303,7 +303,7 @@ def test_diagnostic_calibration(capsys):
         ef2 = event_statistics(ds2, theta, prior)
         mf2 = ModelFit(theta=theta, events=(ef2,), prior=prior,
                        log_posterior=0.0)
-        tab = semivariogram(ds2, mf2, "h1", bins=12, seed=1000 + rep)
+        tab = semivariogram(mf2, "cal", "h1", bins=12, seed=1000 + rep)
         fracs.append(tab.fraction_inside())
     mean_frac = float(np.mean(fracs))
     wall = time.perf_counter() - tic

@@ -7,6 +7,7 @@ them. One fit is shared per module; reruns check byte determinism.
 
 import logging
 import os
+import re
 import warnings
 import zlib
 
@@ -238,14 +239,45 @@ def test_predict_grid_full_cov_over_limit_is_user_error(corpus_dir, fitted,
 
 
 def test_predict_needs_exactly_one_target(corpus_dir, fitted, tmp_path):
+    out = tmp_path / "out"
     rc = cli.main(["predict", "-f", str(fitted), "-e", "ev00",
-                   "-o", str(tmp_path)])
+                   "-o", str(out)])
     assert rc == 2
     rc = cli.main(["predict", "-f", str(fitted), "-e", "ev00",
                    "--grid", str(corpus_dir / "grid_ev00.fg"),
                    "--points", str(corpus_dir / "targets.csv"),
-                   "-o", str(tmp_path)])
+                   "-o", str(out)])
     assert rc == 2
+    # an empty path names no target either
+    rc = cli.main(["predict", "-f", str(fitted), "-e", "ev00", "--grid", "",
+                   "-o", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_malformed_grid_header_is_user_error(corpus_dir, fitted, tmp_path,
+                                             caplog):
+    grid_path = tmp_path / "flat.fg"
+    grid_path.write_text(re.sub(r"(?m)^spacing .*$", "spacing 0 1",
+                                (corpus_dir / "grid_ev00.fg").read_text()))
+    rc = cli.main(["predict", "-f", str(fitted), "-e", "ev00",
+                   "--grid", str(grid_path), "-o", str(tmp_path)])
+    assert rc == 2
+    assert "HeaderMismatch" in caplog.text
+    assert "internal error" not in caplog.text
+
+
+def test_non_finite_points_are_user_errors(fitted, tmp_path, caplog):
+    points = tmp_path / "nan.csv"
+    points.write_text("s1,s2,x\n1,2,20\n1,nan,20\n")
+    for cmd in ("predict", "simulate"):
+        rc = cli.main([cmd, "-f", str(fitted), "-e", "ev00",
+                       "--points", str(points), "-o", str(tmp_path)])
+        assert rc == 2
+    assert not (tmp_path / "predict_ev00_points.csv").exists()
+    assert not (tmp_path / "simulate_ev00.csv").exists()
+    assert "line 3: non-finite value" in caplog.text
+    assert "internal error" not in caplog.text
 
 
 def test_predict_unknown_event(corpus_dir, fitted, tmp_path):

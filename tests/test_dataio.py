@@ -2,6 +2,7 @@
 thresholding, holdout splitting."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,13 @@ def test_grid_rejects_bad_tokens(tmp_path):
         load_grid(write(tmp_path / "d.fg",
                         "FIELDGRID v1\nevent e\ndims 1\norigin 0 0\n"
                         "spacing 1 1\n1\n"))
+    # out-of-range header numbers name their field
+    for bad in ("spacing 0 1", "spacing 1 -2", "spacing inf 1", "dims 0 3",
+                "origin nan 0", "origin 0 -inf"):
+        key = bad.split()[0]
+        text = re.sub(f"(?m)^{key} .*$", bad, base)
+        with pytest.raises(HeaderMismatch, match=f"{key} must be"):
+            load_grid(write(tmp_path / "f.fg", text + "1 2\n"))
 
 
 def test_save_grid_matches_reference_writer(tmp_path):
@@ -448,6 +456,13 @@ def test_load_points(tmp_path):
     empty.write_text("s1,s2,x\n")
     with pytest.raises(EmptyDataset):
         load_points(empty)
+    # errors name the file line, counting comment and blank lines
+    for body, msg in (("1,zz,20\n", "line 5: bad numeric field"),
+                      ("1,2,nan\n", "line 5: non-finite value"),
+                      ("inf,2,20\n", "line 5: non-finite value")):
+        with pytest.raises(ParseError, match=msg):
+            load_points(write(tmp_path / "p.csv",
+                              "# targets\ns1,s2,x\n\n1,2,20\n" + body))
 
 
 def test_rmse():

@@ -1,5 +1,7 @@
 """Semivariogram and held-out validation diagnostics."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -64,7 +66,7 @@ def test_standardized_errors_zero_at_predictive_mean():
                                  full_cov=False)
     exact = EventDataset("ev", hold.locations, hold.x, pf.mean,
                          threshold=15.0)
-    rep = validation_report(mf, train, exact)
+    rep = validation_report(mf, exact)
     np.testing.assert_allclose(rep.standardized_errors, np.zeros(5), atol=1e-12)
     assert rep.mahalanobis == pytest.approx(0.0, abs=1e-20)
     assert rep.mahalanobis_pvalue == pytest.approx(1.0, rel=1e-12)
@@ -78,24 +80,15 @@ def test_standardized_errors_scale():
                                  full_cov=False)
     shifted = EventDataset("ev", hold.locations, hold.x,
                            pf.mean + 2.0 * pf.sd, threshold=15.0)
-    z = validation_report(mf, train, shifted).standardized_errors
+    z = validation_report(mf, shifted).standardized_errors
     np.testing.assert_allclose(z, np.full(5, 2.0), rtol=1e-10)
-
-
-def test_check_training_guards():
-    rng = np.random.default_rng(205)
-    train, hold = split(rng, 12, 4)
-    other = gp_dataset(np.random.default_rng(1), 12)
-    mf = fit_of(train)
-    with pytest.raises(ValueError):
-        validation_report(mf, other, hold)
 
 
 def test_pivoted_errors_recorrelate():
     rng = np.random.default_rng(207)
     train, hold = split(rng, 16, 6)
     mf = fit_of(train)
-    rep = validation_report(mf, train, hold)
+    rep = validation_report(mf, hold)
     epc, piv = rep.pivoted_errors, rep.pivot_indices
     assert sorted(piv.tolist()) == list(range(6))
     pf = predictive_measurements(mf, "ev", (hold.locations, hold.x),
@@ -122,7 +115,7 @@ def test_pivoted_errors_are_standard_normal_under_model():
         y_star = pf.mean + lower @ rng.standard_normal(4)
         ds = EventDataset("ev", hold.locations, hold.x, y_star,
                           threshold=15.0)
-        all_e[r] = validation_report(mf, train, ds).pivoted_errors
+        all_e[r] = validation_report(mf, ds).pivoted_errors
     m = all_e.mean(axis=0)
     v = all_e.var(axis=0)
     assert np.all(np.abs(m) < 4.5 / math.sqrt(reps))
@@ -136,7 +129,7 @@ def test_mahalanobis_single_point_is_squared_t():
     rng = np.random.default_rng(211)
     train, hold = split(rng, 15, 1)
     mf = fit_of(train)
-    rep = validation_report(mf, train, hold)
+    rep = validation_report(mf, hold)
     d, p = rep.mahalanobis, rep.mahalanobis_pvalue
     z = rep.standardized_errors
     assert rep.pivoted_errors[0] == pytest.approx(float(z[0]), rel=1e-12)
@@ -152,7 +145,7 @@ def test_mahalanobis_reorder_invariant():
     train, hold = split(rng, 14, 6)
     mf = fit_of(train)
     def mahalanobis(validation):
-        rep = validation_report(mf, train, validation)
+        rep = validation_report(mf, validation)
         return rep.mahalanobis, rep.mahalanobis_pvalue
 
     d1, p1 = mahalanobis(hold)
@@ -172,7 +165,7 @@ def test_validation_report_bundle():
     rng = np.random.default_rng(217)
     train, hold = split(rng, 16, 5)
     mf = fit_of(train)
-    rep = validation_report(mf, train, hold)
+    rep = validation_report(mf, hold)
     assert isinstance(rep, ValidationReport)
     assert rep.qq_pairs.shape == (5, 2)
     np.testing.assert_array_equal(rep.qq_pairs[:, 1],
@@ -204,8 +197,8 @@ def test_validation_report_matches_reference():
         rng = np.random.default_rng(seed)
         train, hold = split(rng, k_train, k_hold)
         mf = fit_of(train)
-        rep = validation_report(mf, train, hold)
-        std, epc, piv, d_mh, p = validation_reference(mf, train, hold)
+        rep = validation_report(mf, hold)
+        std, epc, piv, d_mh, p = validation_reference(mf, hold)
         np.testing.assert_allclose(rep.standardized_errors, std, rtol=1e-12)
         np.testing.assert_array_equal(rep.pivoted_errors, epc)
         np.testing.assert_array_equal(rep.pivot_indices, piv)
@@ -216,24 +209,21 @@ def test_validation_report_matches_reference():
 
 
 def test_semivariogram_three_points_by_hand():
-    # fit on 4 points, then bin a 3-point subset: 3 pairs -> 3
-    # equal-count bins of one pair each
-    loc4 = np.array([[0.0, 0.0], [2.0, 0.5], [5.0, 3.0], [1.0, 4.0]])
-    x4 = np.array([20.0, 26.0, 33.0, 24.0])
-    y4 = np.array([19.0, 25.5, 30.0, 23.0])
-    full = EventDataset("ev", loc4, x4, y4, threshold=15.0)
-    mf = fit_of(full)
+    # bin the 4 fitted points themselves: 6 pairs -> 6 equal-count bins
+    # of one pair each
+    loc = np.array([[0.0, 0.0], [2.0, 0.5], [5.0, 3.0], [1.0, 4.0]])
+    x = np.array([20.0, 26.0, 33.0, 24.0])
+    y = np.array([19.0, 25.5, 30.0, 23.0])
+    mf = fit_of(EventDataset("ev", loc, x, y, threshold=15.0))
     ef = mf.events[0]
-    ds = full.subset(np.array([0, 1, 2]))
-    loc, x, y = ds.locations, ds.x, ds.y
-    table = semivariogram(ds, mf, "h1", bins=3, reps=50, seed=1)
-    assert table.bins == 3
-    np.testing.assert_array_equal(table.counts, [1, 1, 1])
+    table = semivariogram(mf, "ev", "h1", bins=6, reps=50, seed=1)
+    assert table.bins == 6
+    np.testing.assert_array_equal(table.counts, np.ones(6))
 
     h = np.column_stack([x ** i for i in range(3)])
     e = y - h @ ef.beta_hat
     loc_t = rotate_array(loc, THETA.omega)
-    pairs = [(0, 1), (0, 2), (1, 2)]
+    pairs = list(itertools.combinations(range(4), 2))
     h1 = [abs(loc_t[i, 0] - loc_t[j, 0]) for i, j in pairs]
     order = np.argsort(h1)
     for bin_k, pair_k in enumerate(order):
@@ -252,7 +242,7 @@ def test_semivariogram_structure():
     rng = np.random.default_rng(219)
     ds = gp_dataset(rng, 30)
     mf = fit_of(ds)
-    table = semivariogram(ds, mf, "h1", bins=6, reps=100, seed=4)
+    table = semivariogram(mf, "ev", "h1", bins=6, reps=100, seed=4)
     assert table.binning_variable == "h1"
     assert int(table.counts.sum()) == 30 * 29 // 2
     assert len(table.bin_edges) == 7
@@ -262,7 +252,7 @@ def test_semivariogram_structure():
     assert np.all(np.diff(table.bin_center) > 0)
     # all three binning variables work
     for var in ("h2", "delta_intensity"):
-        t2 = semivariogram(ds, mf, var, bins=5, reps=50, seed=4)
+        t2 = semivariogram(mf, "ev", var, bins=5, reps=50, seed=4)
         assert t2.binning_variable == var
 
 
@@ -273,8 +263,10 @@ def test_semivariogram_empirical_shift_invariance():
     mf = fit_of(ds)
     shifted = EventDataset("ev", ds.locations, ds.x, ds.y + 5.0,
                            threshold=15.0)
-    t1 = semivariogram(ds, mf, "h1", bins=4, reps=30, seed=2)
-    t2 = semivariogram(shifted, mf, "h1", bins=4, reps=30, seed=2)
+    mf_shifted = dataclasses.replace(
+        mf, events=(dataclasses.replace(mf.events[0], dataset=shifted),))
+    t1 = semivariogram(mf, "ev", "h1", bins=4, reps=30, seed=2)
+    t2 = semivariogram(mf_shifted, "ev", "h1", bins=4, reps=30, seed=2)
     np.testing.assert_allclose(t2.empirical, t1.empirical, rtol=1e-12)
     np.testing.assert_allclose(t2.model, t1.model, rtol=1e-15)
     np.testing.assert_array_equal(t2.counts, t1.counts)
@@ -289,7 +281,7 @@ def test_semivariogram_pure_nugget_flat_model():
     y = x + rng.normal(0, 2, size=12)
     ds = EventDataset("ev", loc, x, y, threshold=15.0)
     mf = fit_of(ds, theta=theta)
-    table = semivariogram(ds, mf, "h1", bins=4, reps=30, seed=3)
+    table = semivariogram(mf, "ev", "h1", bins=4, reps=30, seed=3)
     ef = mf.events[0]
     want = ef.sigma_hat2 * (1.0 + theta.lambda2)
     np.testing.assert_allclose(table.model, np.full(4, want), rtol=1e-9)
@@ -299,11 +291,11 @@ def test_semivariogram_mc_determinism():
     rng = np.random.default_rng(229)
     ds = gp_dataset(rng, 15)
     mf = fit_of(ds)
-    t1 = semivariogram(ds, mf, "h2", bins=4, reps=60, seed=11)
-    t2 = semivariogram(ds, mf, "h2", bins=4, reps=60, seed=11)
+    t1 = semivariogram(mf, "ev", "h2", bins=4, reps=60, seed=11)
+    t2 = semivariogram(mf, "ev", "h2", bins=4, reps=60, seed=11)
     np.testing.assert_array_equal(t1.lower95, t2.lower95)
     np.testing.assert_array_equal(t1.upper95, t2.upper95)
-    t3 = semivariogram(ds, mf, "h2", bins=4, reps=60, seed=12)
+    t3 = semivariogram(mf, "ev", "h2", bins=4, reps=60, seed=12)
     assert not np.array_equal(t1.upper95, t3.upper95)
 
 
@@ -312,25 +304,23 @@ def test_semivariogram_errors():
     ds = gp_dataset(rng, 10)
     mf = fit_of(ds)
     with pytest.raises(ValueError):
-        semivariogram(ds, mf, "h3", bins=4)
+        semivariogram(mf, "ev", "h3", bins=4)
     with pytest.raises(ValueError):
-        semivariogram(ds, mf, "h1", bins=2)
-    with pytest.raises(ValueError):
-        semivariogram(ds.subset(np.array([0])), mf, "h1", bins=3)
+        semivariogram(mf, "ev", "h1", bins=2)
     # 4 collinear equally spaced points: 6 pairs cannot fill 10 bins
     loc = np.column_stack([np.arange(4.0), np.zeros(4)])
     small = EventDataset("ev", loc, np.full(4, 20.0) + np.arange(4),
                          np.arange(4.0) + 18.0, threshold=15.0)
     mf_small = fit_of(small)
     with pytest.raises(EmptyBin):
-        semivariogram(small, mf_small, "h1", bins=10)
+        semivariogram(mf_small, "ev", "h1", bins=10)
 
 
 def test_variogram_csv_rows():
     rng = np.random.default_rng(233)
     ds = gp_dataset(rng, 12)
     mf = fit_of(ds)
-    table = semivariogram(ds, mf, "delta_intensity", bins=4, reps=30, seed=0)
+    table = semivariogram(mf, "ev", "delta_intensity", bins=4, reps=30, seed=0)
     header, rows = variogram_csv_rows(table)
     assert header == ["variable", "bin_mid", "empirical", "model", "lo",
                       "hi", "count"]

@@ -399,12 +399,16 @@ def test_target_forms_equivalent():
     loc = np.array([[1.0, 2.0], [3.0, 4.0]])
     x = np.array([20.0, 30.0])
     a = posterior_field(mf, "ev", (loc, x))
-    arr = np.column_stack([loc, x])
-    b = posterior_field(mf, "ev", arr)
-    c = posterior_field(mf, "ev", [((1.0, 2.0), 20.0), ((3.0, 4.0), 30.0)])
+    # the (locations, intensities) pair takes any array-likes, and one
+    # target may come as a bare (s1, s2) location with a scalar intensity
+    b = posterior_field(mf, "ev", ([[1, 2], [3, 4]], [20, 30]))
+    c = posterior_field(mf, "ev", ((3.0, 4.0), 30.0))
     np.testing.assert_array_equal(a.mean, b.mean)
-    np.testing.assert_array_equal(a.mean, c.mean)
-    np.testing.assert_array_equal(a.variance, c.variance)
+    np.testing.assert_array_equal(a.variance, b.variance)
+    np.testing.assert_array_equal(c.locations, loc[1:])
+    np.testing.assert_array_equal(c.intensities, x[1:])
+    np.testing.assert_allclose(c.mean, a.mean[1:], rtol=1e-13)
+    np.testing.assert_allclose(c.variance, a.variance[1:], rtol=1e-13)
 
 
 def test_posterior_field_validation():
