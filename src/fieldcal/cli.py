@@ -29,7 +29,7 @@ from .diagnostics import (EmptyBin, semivariogram, validation_report,
 from .inference import (ArtifactError, ModelFit, OptimizationFailed,
                         PriorSpec, TooFewObservations, UnknownEvent,
                         event_statistics, fit as fit_model, format_fit,
-                        load_fit)
+                        load_fit, read_fit)
 from .numerics import NotPositiveDefinite, NotPSD, OptimizerOptions
 from .prediction import (CovarianceTooLarge, export_grids, points_csv_rows,
                          posterior_field, predict_grid, sample_field)
@@ -271,7 +271,7 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     if bool(args.grid) == bool(args.points):
         raise ConfigError("predict needs exactly one of --grid or --points")
-    result = load_fit(args.fit)
+    result = load_fit(args.fit, events=[args.event])
     os.makedirs(args.outdir, exist_ok=True)
     run_hash = _artifact_hash(args.fit, "predict", args.event,
                               args.grid or args.points, args.full_cov,
@@ -307,17 +307,19 @@ def _write_covariance(outdir, event, pf, comments):
 
 
 def cmd_validate(args) -> int:
-    result = load_fit(args.fit)
+    # each training split is refitted, so no artifact event is built
+    result = read_fit(args.fit)
     cfg = parse_config(args.config, args.set or ())
     os.makedirs(cfg.output_dir, exist_ok=True)
     n_hold = cfg.validation_holdout
     q = result.prior.q
+    fitted = {ds.event for ds, _, _ in result.events}
     stations = _merge_stations(cfg.station_paths)
     # pair every event and check every holdout bound before writing any file
     paired = []
     for gpath in cfg.grid_paths:
         grid = load_grid(gpath)
-        if grid.event not in result.event_ids():
+        if grid.event not in fitted:
             log.warning("event %s not in the fit; skipped", grid.event)
             continue
         ds = pair_and_threshold(stations, grid, cfg.threshold_u)
@@ -371,7 +373,7 @@ def cmd_validate(args) -> int:
 def cmd_variogram(args) -> int:
     if args.bins < 3:
         raise ConfigError(f"--bins must be >= 3, got {args.bins}")
-    result = load_fit(args.fit)
+    result = load_fit(args.fit, events=[args.event])
     os.makedirs(args.outdir, exist_ok=True)
     table = semivariogram(result, args.event, args.var, args.bins,
                           seed=args.seed)
@@ -390,7 +392,7 @@ def cmd_variogram(args) -> int:
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise ConfigError(f"-n must be >= 1, got {args.n}")
-    result = load_fit(args.fit)
+    result = load_fit(args.fit, events=[args.event])
     os.makedirs(args.outdir, exist_ok=True)
     loc, x = load_points(args.points)
     pf = posterior_field(result, args.event, (loc, x), full_cov=True)

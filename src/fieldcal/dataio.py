@@ -382,7 +382,8 @@ def load_points(path):
         reader = csv.reader(fh)
         # (file line, row): comment and blank lines are skipped, not renumbered
         rows = [(reader.line_num, row) for row in reader
-                if row and row[0].lstrip()[:1] != "#"]
+                if row and (len(row) > 1 or row[0].strip())
+                and row[0].lstrip()[:1] != "#"]
     if not rows:
         raise ShortFile(f"{path}: empty file")
     header = [h.strip() for h in rows[0][1]]

@@ -12,9 +12,11 @@ that update for both the theta objective and prediction.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +73,8 @@ class PriorSpec:
     basis_degree: int = 2
 
     def __post_init__(self):
+        if self.basis_degree not in (0, 1, 2):
+            raise ValueError("basis_degree must be 0, 1 or 2")
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
         q = self.basis_degree + 1
@@ -218,12 +222,13 @@ def event_statistics(dataset: EventDataset, theta: Hyperparameters,
 
 
 def log_posterior_theta(datasets, theta: Hyperparameters,
-                        prior: PriorSpec) -> float:
+                        prior: PriorSpec, keep=None) -> float:
     """Log posterior of theta under a flat hyperprior, up to a constant.
 
     Sums the per-event marginalized evidences. Returns -inf when an
     event's correlation matrix fails to factorize or the scale estimate
-    collapses to its floor.
+    collapses to its floor. Each EventFit built is appended to the list
+    ``keep`` when one is given.
     """
     total = 0.0
     for ds in datasets:
@@ -235,6 +240,8 @@ def log_posterior_theta(datasets, theta: Hyperparameters,
             ef = event_statistics(ds, theta, prior)
         except NotPositiveDefinite:
             return -math.inf
+        if keep is not None:
+            keep.append(ef)
         total += ef.log_evidence
         if total == -math.inf:
             return total
@@ -321,11 +328,20 @@ def fit(datasets, prior: PriorSpec, opts: OptimizerOptions,
     if theta0 is None:
         theta0 = default_theta0(datasets)
 
+    # (value, z, updates) of the lowest evaluation so far and, until the
+    # next call, of the one it displaced: out of budget, the search can
+    # stop before taking in its last, lowest point and return the one before
+    best = [(math.inf, None, ())]
+
     def objective(z):
-        theta = _unpack(np.asarray(z, dtype=float))
+        del best[1:]
+        z, kept = np.array(z, dtype=float), []
+        theta = _unpack(z)
         if theta is None:
             return math.inf
-        lp = log_posterior_theta(datasets, theta, prior)
+        lp = log_posterior_theta(datasets, theta, prior, keep=kept)
+        if math.isfinite(lp) and -lp < best[0][0]:
+            best.insert(0, (-lp, z, tuple(kept)))
         return -lp if math.isfinite(lp) else math.inf
 
     try:
@@ -337,7 +353,10 @@ def fit(datasets, prior: PriorSpec, opts: OptimizerOptions,
     if theta_hat is None or not math.isfinite(search.fun):
         raise OptimizationFailed("optimizer did not find a finite optimum")
 
-    events = tuple(event_statistics(ds, theta_hat, prior) for ds in datasets)
+    events = next((efs for _, z, efs in best if np.array_equal(z, search.x)),
+                  None)
+    if events is None:
+        events = tuple(event_statistics(ds, theta_hat, prior) for ds in datasets)
     bad = [ef.event for ef in events
            if prior.sigmaY ** 2 > theta_hat.lambda2 * ef.sigma_hat2]
     if bad:
@@ -390,16 +409,20 @@ def save_fit(fit_result: ModelFit, path) -> None:
         fh.write(format_fit(fit_result))
 
 
-def load_fit(path) -> ModelFit:
-    """Reload a fit artifact; statistics are recomputed from the stored
-    pairs and verified against the stored summaries."""
+# a parsed, format-checked artifact with no event built: theta, the prior,
+# the stored log posterior, and per event (dataset, stored beta, stored sigma2)
+FitRecord = namedtuple("FitRecord", "theta prior log_posterior events")
+
+
+def read_fit(path) -> FitRecord:
+    """Parse every block of a fit artifact without factoring anything."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n")]
+        lines = fh.read().split("\n")
     it = iter([ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")])
 
-    def take(keyword, count=None):
+    def take(keyword, count=None, maxsplit=-1):
         try:
-            parts = next(it).split()
+            parts = next(it).rstrip().split(None, maxsplit)
         except StopIteration:
             raise ArtifactError(f"{path}: truncated artifact, expected {keyword}") from None
         if parts[0] != keyword:
@@ -426,41 +449,61 @@ def load_fit(path) -> ModelFit:
                           basis_degree=q - 1)
         events = []
         for _ in range(n_events):
-            head = take("event")
+            # the id is the rest of the line, inner whitespace kept
+            head = take("event", maxsplit=3)
             if len(head) < 3:
                 raise ArtifactError(f"{path}: malformed event line")
             k = int(head[0])
             u = float(head[1])
-            event_id = " ".join(head[2:])
+            event_id = head[2]
             beta_stored = np.array([float(v) for v in take("beta", q)])
             sigma2_stored = float(take("sigma2", 1)[0])
-            rows = np.empty((k, 4))
-            for r in range(k):
-                try:
-                    vals = next(it).split()
-                except StopIteration:
-                    raise ArtifactError(f"{path}: truncated data block") from None
-                if len(vals) != 4:
-                    raise ArtifactError(f"{path}: bad data row in event {event_id}")
-                rows[r] = [float(v) for v in vals]
+            block = [ln.split() for ln in itertools.islice(it, k)]
+            if len(block) < k:
+                raise ArtifactError(f"{path}: truncated data block")
+            if any(len(vals) != 4 for vals in block):
+                raise ArtifactError(f"{path}: bad data row in event {event_id}")
+            rows = np.array([[float(v) for v in vals] for vals in block]).reshape(k, 4)
             ds = EventDataset(event=event_id, locations=rows[:, :2].copy(),
                               x=rows[:, 2].copy(), y=rows[:, 3].copy(),
                               threshold=u)
-            ef = event_statistics(ds, theta, prior)
-            if (not np.allclose(ef.beta_hat, beta_stored, rtol=1e-6, atol=1e-9)
-                    or not math.isclose(ef.sigma_hat2, sigma2_stored,
-                                        rel_tol=1e-6, abs_tol=1e-12)):
-                raise ArtifactError(
-                    f"{path}: stored summaries disagree with recomputation "
-                    f"for event {event_id}")
-            events.append(ef)
+            events.append((ds, beta_stored, sigma2_stored))
         if take("end", 0) != []:
             raise ArtifactError(f"{path}: malformed end marker")
     except (ValueError, IndexError) as exc:
         raise ArtifactError(f"{path}: {exc}") from None
-    lp = sum(ef.log_evidence for ef in events)
-    if not math.isclose(lp, stored_lp, rel_tol=1e-6, abs_tol=1e-6):
-        log.debug("stored log_posterior %.6g differs from recomputed %.6g",
-                  stored_lp, lp)
-    return ModelFit(theta=theta, events=tuple(events), prior=prior,
+    return FitRecord(theta=theta, prior=prior, log_posterior=stored_lp,
+                     events=tuple(events))
+
+
+def load_fit(path, events=None) -> ModelFit:
+    """Reload a fit artifact. Every event block is parsed, but only the
+    events named in ``events`` (all when None) are rebuilt and verified
+    against their stored summaries. A full load reports the recomputed
+    log posterior, a partial load the stored one."""
+    rec = read_fit(path)
+    chosen = [blk for blk in rec.events if events is None or blk[0].event in events]
+    missing = set(events or ()) - {ds.event for ds, _, _ in chosen}
+    if missing:
+        raise UnknownEvent(", ".join(sorted(missing)))
+    built = []
+    for ds, beta_stored, sigma2_stored in chosen:
+        try:
+            ef = event_statistics(ds, rec.theta, rec.prior)
+        except ValueError as exc:   # e.g. non-finite stored coordinates
+            raise ArtifactError(f"{path}: {exc}") from None
+        if (not np.allclose(ef.beta_hat, beta_stored, rtol=1e-6, atol=1e-9)
+                or not math.isclose(ef.sigma_hat2, sigma2_stored,
+                                    rel_tol=1e-6, abs_tol=1e-12)):
+            raise ArtifactError(
+                f"{path}: stored summaries disagree with recomputation "
+                f"for event {ds.event}")
+        built.append(ef)
+    lp = rec.log_posterior
+    if events is None:
+        lp = sum(ef.log_evidence for ef in built)
+        if not math.isclose(lp, rec.log_posterior, rel_tol=1e-6, abs_tol=1e-6):
+            log.debug("stored log_posterior %.6g differs from recomputed %.6g",
+                      rec.log_posterior, lp)
+    return ModelFit(theta=rec.theta, events=tuple(built), prior=rec.prior,
                     log_posterior=lp)

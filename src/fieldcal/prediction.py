@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
-from .covariance import correlation_block, rotate_array
+from .covariance import correlation_block, rotate_array, smooth_correlation
 from .dataio import GridField
 from .inference import ModelFit, basis_matrix
 from .numerics import pivoted_cholesky, std_normal_quantile, student_t_quantile
@@ -122,8 +123,11 @@ def _conditional(fit: ModelFit, event: str, targets, full_cov: bool,
     if full_cov:
         t_mat, mean, r = block(slice(None))
         ainv_tt = ef.A_factor.solve(t_mat.T)
-        c_t = correlation_block(theta, loc_t, x, loc_t, x)
-        cov = c_t - t_mat @ ainv_tt + r @ ef.Bstar @ r.T
+        # each pair once, updated in place: one m x m temporary fewer
+        cov = squareform(smooth_correlation(theta, loc_t, x))
+        np.fill_diagonal(cov, 1.0)
+        cov -= t_mat @ ainv_tt
+        cov += r @ ef.Bstar @ r.T
         cov[np.diag_indices_from(cov)] += nugget_z
         cov *= ef.sigma_hat2
         cov[np.diag_indices_from(cov)] += noise

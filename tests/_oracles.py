@@ -295,6 +295,35 @@ def conditional_reference(fit, event, loc, x, add_noise):
     return mean, var
 
 
+def full_covariance_reference(fit, event, loc, x, add_noise):
+    """Full posterior covariance with the m x m prior block as a cross block.
+
+    The construction ``prediction._conditional(full_cov=True)`` had
+    before it built that block from the condensed pairs:
+    ``correlation_block(theta, loc_t, x, loc_t, x)`` computes every pair
+    twice and each record with itself; the rest is the same arithmetic
+    in the same order.
+    """
+    from fieldcal.covariance import correlation_block, rotate_array
+    from fieldcal.inference import basis_matrix
+
+    ef = fit.event(event)
+    theta, prior = fit.theta, fit.prior
+    loc = np.atleast_2d(np.asarray(loc, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    loc_t = rotate_array(loc, theta.omega)
+    t_mat = correlation_block(theta, loc_t, x, ef.locations_rot, ef.x)
+    r = basis_matrix(x, prior.q) - t_mat @ ef.Ainv_H
+    ainv_tt = ef.A_factor.solve(t_mat.T)
+    c_t = correlation_block(theta, loc_t, x, loc_t, x)
+    cov = c_t - t_mat @ ainv_tt + r @ ef.Bstar @ r.T
+    nugget_z = max(theta.lambda2 - prior.sigmaY ** 2 / ef.sigma_hat2, 0.0)
+    cov[np.diag_indices_from(cov)] += nugget_z
+    cov *= ef.sigma_hat2
+    cov[np.diag_indices_from(cov)] += prior.sigmaY ** 2 if add_noise else 0.0
+    return 0.5 * (cov + cov.T)
+
+
 def grid_values_reference(tokens, line):
     """Grid token values by one ``float()`` call per token.
 

@@ -21,7 +21,7 @@ from fieldcal.dataio import (GridField, holdout_split, load_grid, load_points,
 from fieldcal.inference import ModelFit, event_statistics, load_fit
 from fieldcal.prediction import posterior_field
 
-from _synth import make_corpus, write_corpus
+from _synth import make_corpus, synth_event, write_corpus
 
 # raised intercept keeps every synthetic gust positive so the station
 # CSV round-trips through the loader's nonnegativity check
@@ -121,6 +121,11 @@ def test_config_errors_exit_2(corpus_dir, tmp_path):
     assert rc == 2
     rc = cli.main(["fit", "-c", str(corpus_dir / "run.cfg"),
                    "--set", "no_equals_sign"])
+    assert rc == 2
+    # a cubic basis is unsupported: a config error, not an internal one
+    rc = cli.main(["fit", "-c", str(corpus_dir / "run.cfg"),
+                   "--set", "basis_degree=3", "--set", "prior_b=0,1,0,0",
+                   "--set", "prior_B_diag=1,1,1,1"])
     assert rc == 2
 
     dup = tmp_path / "dup.cfg"
@@ -285,6 +290,28 @@ def test_predict_unknown_event(corpus_dir, fitted, tmp_path):
                    "--points", str(corpus_dir / "targets.csv"),
                    "-o", str(tmp_path)])
     assert rc == 2
+
+
+def test_event_id_with_inner_whitespace_round_trips(tmp_path):
+    event = "storm  one"
+    corpus = [synth_event(event, np.random.default_rng(CLI_SEED), 45, CLI_BETA)]
+    station_path, (grid_path,) = write_corpus(str(tmp_path), corpus)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"stations = {station_path}\ngrids = {grid_path}\n"
+                      "holdout = 10\nmax_evals = 40\nsimplex_tolerance = 1e-3\n"
+                      "theta0 = 0.25,0.3,4,3,1.2,0.9,8\n"
+                      f"output_dir = {tmp_path}\n", encoding="utf-8")
+    assert cli.main(["fit", "-c", str(config)]) == 0
+    fit_path = tmp_path / "fit.out"
+    assert load_fit(fit_path).event_ids() == [event]
+    points = tmp_path / "targets.csv"
+    points.write_text("s1,s2,x\n5,5,25\n6,7,30\n", encoding="utf-8")
+    assert cli.main(["predict", "-f", str(fit_path), "-e", event,
+                     "--points", str(points), "-o", str(tmp_path)]) == 0
+    assert (tmp_path / f"predict_{event}_points.csv").exists()
+    assert cli.main(["validate", "-f", str(fit_path), "-c", str(config)]) == 0
+    summary = (tmp_path / "validate_summary.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in summary if l.startswith("storm")] == [event]
 
 
 def test_validate_outputs_and_seeded_split(corpus_dir, fitted):

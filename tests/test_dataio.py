@@ -463,6 +463,15 @@ def test_load_points(tmp_path):
         with pytest.raises(ParseError, match=msg):
             load_points(write(tmp_path / "p.csv",
                               "# targets\ns1,s2,x\n\n1,2,20\n" + body))
+    # a whitespace-only line is skipped like an empty one (as in
+    # load_stations), and later errors still name the file line
+    loc, x = load_points(write(tmp_path / "p.csv",
+                               "s1,s2,x\n1,2,20\n   \n3,4,25\n"))
+    np.testing.assert_array_equal(loc, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(x, [20.0, 25.0])
+    with pytest.raises(ParseError, match="line 5: bad numeric field"):
+        load_points(write(tmp_path / "p.csv",
+                          "s1,s2,x\n1,2,20\n \t \n3,4,25\n1,zz,20\n"))
 
 
 def test_rmse():

@@ -28,6 +28,7 @@ from fieldcal.inference import (
     fit,
     load_fit,
     log_posterior_theta,
+    read_fit,
     save_fit,
 )
 from fieldcal.numerics import OptimizerOptions
@@ -67,6 +68,8 @@ def test_prior_spec_validation():
         PriorSpec(b=[0.0], B=[[1.0]], a=-1.0, basis_degree=0)
     with pytest.raises(ValueError):
         PriorSpec(b=[0.0], B=[[1.0]], sigmaY=0.0, basis_degree=0)
+    with pytest.raises(ValueError, match="basis_degree"):
+        PriorSpec(b=np.zeros(4), B=np.eye(4), basis_degree=3)
     p = default_prior()
     assert p.q == 3
     np.testing.assert_array_equal(p.b, [0.0, 1.0, 0.0])
@@ -318,9 +321,9 @@ def test_fit_evaluates_the_start_once(monkeypatch):
     seen = []
     real = inf.log_posterior_theta
 
-    def counting(events, theta, prior_):
+    def counting(events, theta, prior_, **kwargs):
         seen.append(theta)
-        return real(events, theta, prior_)
+        return real(events, theta, prior_, **kwargs)
 
     monkeypatch.setattr(inf, "log_posterior_theta", counting)
     mf = fit(datasets, prior, OptimizerOptions(max_evals=25))
@@ -332,6 +335,54 @@ def test_fit_evaluates_the_start_once(monkeypatch):
                            nu1=1.0, nu2=1.0, phiX=8.0)
     with pytest.raises(OptimizationFailed, match="starting hyperparameters"):
         fit(datasets, prior, OptimizerOptions(max_evals=10), theta0=bad0)
+
+
+def test_fit_reuses_the_updates_of_its_best_evaluation(monkeypatch):
+    import dataclasses
+
+    import fieldcal.inference as inf
+
+    rng = np.random.default_rng(89)
+    datasets = [make_dataset(rng, 12, event=f"ev{i}") for i in range(2)]
+    prior = default_prior()
+    built, values = [], []
+    real, real_lp = inf.event_statistics, inf.log_posterior_theta
+
+    def counting(ds, theta, prior_):
+        built.append(real(ds, theta, prior_))
+        return built[-1]
+
+    def recording(*args, **kwargs):
+        values.append(real_lp(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(inf, "event_statistics", counting)
+    monkeypatch.setattr(inf, "log_posterior_theta", recording)
+    lost = 0
+    for max_evals in range(10, 26):
+        built.clear()
+        values.clear()
+        mf = fit(datasets, prior, OptimizerOptions(max_evals=max_evals))
+        # the search's own evaluation at theta_hat is kept, not rebuilt,
+        # also when the budget ran out right after a lower point
+        lost += max(values) > -mf.search.fun
+        assert len(built) == 2 * len(values) == 2 * mf.search.evaluations
+        assert all(any(ef is b for b in built) for ef in mf.events)
+        for ef, ds in zip(mf.events, datasets):
+            np.testing.assert_array_equal(ef.beta_hat,
+                                          real(ds, mf.theta, prior).beta_hat)
+    assert lost
+
+    # a search returning a point other than an evaluation it kept (here
+    # its start) gets updates rebuilt at that point
+    search = inf.nelder_mead
+    monkeypatch.setattr(inf, "nelder_mead", lambda f, x0, opts: dataclasses.replace(
+        search(f, x0, opts), x=np.array(x0)))
+    built.clear()
+    start = fit(datasets, prior, OptimizerOptions(max_evals=25))
+    assert start.theta == _unpack(_pack(default_theta0(datasets)))
+    assert [ef.dataset.event for ef in built[-2:]] == ["ev0", "ev1"]
+    assert all(ef is b for ef, b in zip(start.events, built[-2:]))
 
 
 def test_wrap_angle():
@@ -496,6 +547,103 @@ def test_artifact_errors(tmp_path):
     bad.write_text(text.replace("theta ", "thetaX ", 1))
     with pytest.raises(ArtifactError):
         load_fit(bad)
+
+
+def _two_event_artifact(tmp_path):
+    rng = np.random.default_rng(71)
+    prior = default_prior()
+    datasets = [make_dataset(rng, 9, event="A1"), make_dataset(rng, 8, event="B2")]
+    events = tuple(event_statistics(ds, THETA, prior) for ds in datasets)
+    path = tmp_path / "fit.out"
+    save_fit(ModelFit(theta=THETA, events=events, prior=prior,
+                      log_posterior=-123.5), path)
+    return path, path.read_text().splitlines()
+
+
+def _corrupt_beta(lines, event):
+    at = lines.index(next(ln for ln in lines if ln.startswith("event ")
+                          and ln.endswith(" " + event))) + 1
+    parts = lines[at].split()
+    parts[1] = f"{float(parts[1]) + 0.5:.17g}"
+    return "\n".join(lines[:at] + [" ".join(parts)] + lines[at + 1:]) + "\n"
+
+
+def test_partial_load_builds_and_verifies_only_the_requested_events(
+        tmp_path, monkeypatch):
+    import fieldcal.inference as inf
+
+    path, lines = _two_event_artifact(tmp_path)
+    built = []
+    real = inf.event_statistics
+
+    def counting(ds, theta, prior):
+        built.append(ds.event)
+        return real(ds, theta, prior)
+
+    monkeypatch.setattr(inf, "event_statistics", counting)
+    part = load_fit(path, events=["B2"])
+    assert built == ["B2"] and part.event_ids() == ["B2"]
+    # a partial load reports the stored log posterior; a full load
+    # recomputes it from every event
+    assert part.log_posterior == -123.5
+    full = load_fit(path)
+    assert built == ["B2", "A1", "B2"] and full.event_ids() == ["A1", "B2"]
+    assert full.log_posterior == log_posterior_theta(
+        [ef.dataset for ef in full.events], THETA, default_prior())
+    np.testing.assert_array_equal(part.event("B2").beta_hat,
+                                  full.event("B2").beta_hat)
+    with pytest.raises(UnknownEvent):
+        load_fit(path, events=["C3"])
+
+    # a corrupt summary is caught on a requested event only
+    bad = tmp_path / "bad.out"
+    bad.write_text(_corrupt_beta(lines, "A1"))
+    with pytest.raises(ArtifactError, match="for event A1"):
+        load_fit(bad, events=["A1"])
+    with pytest.raises(ArtifactError):
+        load_fit(bad)
+    assert load_fit(bad, events=["B2"]).event_ids() == ["B2"]
+
+    # every block is still parsed: format errors anywhere fail any load
+    for text in ("\n".join(lines[:-3]) + "\n",
+                 "\n".join(lines).replace("FIELDCALFIT v1", "FIELDCALFIT v9")):
+        bad.write_text(text)
+        with pytest.raises(ArtifactError):
+            load_fit(bad, events=["A1"])
+        with pytest.raises(ArtifactError):
+            read_fit(bad)
+    # so is an unsupported (cubic) basis, which no event needs to be built
+    # to see: validate builds none
+    cubic = []
+    for ln in lines:
+        key = ln.split(" ", 1)[0]
+        if key == "prior_q":
+            ln = "prior_q 4"
+        elif key == "prior_B":
+            ln = "prior_B " + " ".join(str(v) for v in np.eye(4).ravel())
+        elif key in ("prior_b", "beta"):
+            ln += " 0"
+        cubic.append(ln)
+    bad.write_text("\n".join(cubic) + "\n")
+    with pytest.raises(ArtifactError, match="basis_degree"):
+        read_fit(bad)
+
+
+def test_artifact_event_id_keeps_inner_whitespace(tmp_path):
+    rng = np.random.default_rng(73)
+    prior = default_prior()
+    ef = event_statistics(make_dataset(rng, 8, event="storm  one"), THETA, prior)
+    path = tmp_path / "fit.out"
+    save_fit(ModelFit(theta=THETA, events=(ef,), prior=prior,
+                      log_posterior=0.0), path)
+    assert [ds.event for ds, _, _ in read_fit(path).events] == ["storm  one"]
+    assert load_fit(path, events=["storm  one"]).event_ids() == ["storm  one"]
+    lines = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("event "))
+    for head in ("event 8", "event 8 15"):
+        path.write_text("\n".join(lines[:at] + [head] + lines[at + 1:]) + "\n")
+        with pytest.raises(ArtifactError, match="malformed event line"):
+            read_fit(path)
 
 
 def test_artifact_with_non_finite_theta_is_rejected(tmp_path):

@@ -25,7 +25,8 @@ from fieldcal.prediction import (
     predictive_measurements,
     sample_field,
 )
-from _oracles import conditional_reference, joint_conditional_oracle
+from _oracles import (conditional_reference, full_covariance_reference,
+                      joint_conditional_oracle)
 
 THETA = Hyperparameters(omega=0.2, lambda2=0.4, phi1=3.0, phi2=2.0,
                         nu1=1.3, nu2=0.8, phiX=10.0)
@@ -267,6 +268,22 @@ def test_blocked_prediction_matches_dense_reference(monkeypatch):
     np.testing.assert_allclose(y.mean, want_mean, rtol=1e-12, atol=0)
     np.testing.assert_allclose(y.variance, want_var, rtol=0,
                                atol=1e-12 * ef.sigma_hat2)
+
+
+def test_full_covariance_matches_the_cross_block_construction():
+    # the prior block from condensed pairs must not change a single bit,
+    # with coincident records and with a single target
+    rng = np.random.default_rng(139)
+    mf = make_fit(rng, k=30)
+    tloc = rng.uniform(-2, 14, size=(40, 2))
+    tx = rng.uniform(10, 40, size=40)
+    tloc[7], tx[7] = tloc[3], tx[3]
+    for loc, x in ((tloc, tx), (tloc[:1], tx[:1])):
+        for conditional, noise in ((posterior_field, False),
+                                   (predictive_measurements, True)):
+            got = conditional(mf, "ev", (loc, x), full_cov=True).covariance
+            want = full_covariance_reference(mf, "ev", loc, x, add_noise=noise)
+            assert np.array_equal(got, want)
 
 
 def test_predict_grid_memory_is_bounded_by_the_block():
