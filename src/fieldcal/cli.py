@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .covariance import Hyperparameters
-from .dataio import (DataError, DuplicateStation, EmptyDataset, StationSet,
-                     holdout_split, load_grid, load_points, load_stations,
-                     pair_and_threshold, rmse, save_grid)
+from .dataio import (DataError, EmptyDataset, holdout_split, load_grid,
+                     load_points, load_stations, pair_and_threshold, rmse,
+                     save_grid)
 from .diagnostics import (EmptyBin, semivariogram, validation_report,
                           variogram_csv_rows)
 from .inference import (ArtifactError, ModelFit, OptimizationFailed,
@@ -163,21 +163,6 @@ def parse_config(path, overrides=()) -> RunConfig:
     return cfg
 
 
-def _merge_stations(paths) -> StationSet:
-    records = []
-    seen = set()
-    for path in paths:
-        part = load_stations(path)
-        for r in part.records:
-            key = (r.event, r.station)
-            if key in seen:
-                raise DuplicateStation(
-                    f"duplicate station key {key} across station files")
-            seen.add(key)
-            records.append(r)
-    return StationSet(records=tuple(records))
-
-
 def _header(theta: Hyperparameters | None, cfg_hash: str):
     lines = [f"fieldcal {__version__}", f"config {cfg_hash}"]
     if theta is not None:
@@ -196,25 +181,27 @@ def _write_text(path, text: str):
 def _write_csv(path, comments, header, rows):
     out = [f"# {c}" for c in comments]
     out.append(",".join(header))
-    out.extend(",".join(str(v) for v in row) for row in rows)
+    out.extend(map(",".join, rows))
     _write_text(path, "\n".join(out) + "\n")
+
+
+def _g6_rows(table):
+    """A float table as CSV rows of one preformatted cell: ``{:.6g}`` text."""
+    fmt = ",".join(["%.6g"] * table.shape[1])
+    return [(fmt % tuple(row),) for row in table.tolist()]
 
 
 def _hash_parts(*parts) -> str:
     h = hashlib.sha256()
     for p in parts:
-        if isinstance(p, bytes):
-            h.update(p)
-        else:
-            h.update(str(p).encode())
+        h.update(p if isinstance(p, bytes) else str(p).encode())
         h.update(b"\x1f")
     return h.hexdigest()[:12]
 
 
 def _artifact_hash(fit_path, *args) -> str:
     with open(fit_path, "rb") as fh:
-        blob = fh.read()
-    return _hash_parts(blob, *args)
+        return _hash_parts(fh.read(), *args)
 
 
 def cmd_fit(args) -> int:
@@ -223,7 +210,7 @@ def cmd_fit(args) -> int:
     datasets = []
     skipped = []
     q = cfg.prior.q
-    stations = _merge_stations(cfg.station_paths)
+    stations = load_stations(*cfg.station_paths)
     for gpath in cfg.grid_paths:
         grid = load_grid(gpath)
         try:
@@ -295,15 +282,10 @@ def cmd_predict(args) -> int:
         _write_csv(path, comments, header, rows)
         log.info("point predictions written to %s", path)
     if args.full_cov:
-        _write_covariance(args.outdir, args.event, pf, comments)
+        path = os.path.join(args.outdir, f"predict_{args.event}_cov.csv")
+        _write_csv(path, comments, [f"c{j}" for j in range(len(pf.mean))],
+                   _g6_rows(pf.covariance))
     return 0
-
-
-def _write_covariance(outdir, event, pf, comments):
-    path = os.path.join(outdir, f"predict_{event}_cov.csv")
-    rows = [[f"{v:.6g}" for v in row] for row in pf.covariance]
-    header = [f"c{j}" for j in range(pf.covariance.shape[1])]
-    _write_csv(path, comments, header, rows)
 
 
 def cmd_validate(args) -> int:
@@ -314,7 +296,7 @@ def cmd_validate(args) -> int:
     n_hold = cfg.validation_holdout
     q = result.prior.q
     fitted = {ds.event for ds, _, _ in result.events}
-    stations = _merge_stations(cfg.station_paths)
+    stations = load_stations(*cfg.station_paths)
     # pair every event and check every holdout bound before writing any file
     paired = []
     for gpath in cfg.grid_paths:
@@ -404,9 +386,8 @@ def cmd_simulate(args) -> int:
     header = ["s1", "s2", "x_sim", "post_mean"] + [
         f"real_{k + 1}" for k in range(args.n)]
     table = np.column_stack([pf.locations, pf.intensities, pf.mean, draws.T])
-    rows = [[f"{v:.6g}" for v in row] for row in table.tolist()]
     path = os.path.join(args.outdir, f"simulate_{args.event}.csv")
-    _write_csv(path, comments, header, rows)
+    _write_csv(path, comments, header, _g6_rows(table))
     log.info("%d realization(s) written to %s", args.n, path)
     return 0
 

@@ -1,9 +1,11 @@
 """File ingestion, grid interpolation, and event-dataset assembly.
 
-Stations arrive as CSV (event,station,s1,s2,gust). Simulator fields use
-a line-oriented text format (``FIELDGRID v1``) documented at
-:func:`load_grid`. Coordinates are taken to be in the grid's own rotated
-coordinate system already; no geographic conversion happens here.
+Station CSVs (event,station,s1,s2,gust) load into a columnar
+:class:`StationSet`, through the row reader target points (s1,s2,x) use
+too. Simulator fields use a line-oriented text format (``FIELDGRID v1``)
+documented at :func:`load_grid`. Pairing interpolates all stations of an
+event in one vectorized bilinear pass. Coordinates are in the grid's own
+rotated coordinate system already; no geographic conversion happens here.
 """
 
 from __future__ import annotations
@@ -56,28 +58,21 @@ class EmptyDataset(DataError):
 
 
 @dataclass(frozen=True)
-class StationRecord:
-    event: str
-    station: str
-    s1: float
-    s2: float
-    gust: float
-
-
-@dataclass(frozen=True)
 class StationSet:
-    """Measurement records keyed by (event, station)."""
+    """Station records as columns in file order, one per (event, station)
+    key: str objects ``event``, ``station``; floats ``s1``, ``s2``, ``gust``."""
 
-    records: tuple
-
-    def for_event(self, event: str):
-        return [r for r in self.records if r.event == event]
+    event: np.ndarray
+    station: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    gust: np.ndarray
 
     def events(self):
-        return list(dict.fromkeys(r.event for r in self.records))
+        return list(dict.fromkeys(self.event.tolist()))
 
     def __len__(self):
-        return len(self.records)
+        return len(self.event)
 
 
 @dataclass(frozen=True)
@@ -142,48 +137,90 @@ class EventDataset:
                             threshold=self.threshold, stations=st)
 
 
-def load_stations(path) -> StationSet:
-    """Read a station CSV with columns event,station,s1,s2,gust.
-
-    Raises :class:`ParseError` with the offending line number on any bad
-    row and :class:`DuplicateStation` on a repeated (event, station) key.
-    """
+def _read_csv(path, columns, n_text, checks, comments=False):
+    """Rows of a CSV file under the header ``columns`` as ``(text, values)``:
+    the first ``n_text`` fields stripped, one list per column, and the rest
+    read by ``float()`` into an (n, k) array. Blank lines, and with
+    ``comments`` ``#`` lines, are skipped. Rows are checked for width, ids
+    and numbers, then by ``checks(lines, text, values)``: (faulty-row mask,
+    exception for row i) pairs, ``lines`` being physical line numbers. The
+    first faulty row in file order raises, with its first failing check."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ShortFile(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if header != list(STATION_COLUMNS):
-            raise HeaderMismatch(
-                f"{path}: expected header {','.join(STATION_COLUMNS)}, "
-                f"got {','.join(header)}")
-        records = []
-        seen = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(STATION_COLUMNS):
-                raise ParseError(lineno, f"expected {len(STATION_COLUMNS)} "
-                                 f"fields, got {len(row)}")
-            event, station = row[0].strip(), row[1].strip()
-            if not event or not station:
-                raise ParseError(lineno, "empty event or station identifier")
-            try:
-                s1, s2, gust = (float(v) for v in row[2:])
-            except ValueError as exc:
-                raise ParseError(lineno, f"bad numeric field: {exc}") from None
-            if not (np.isfinite(s1) and np.isfinite(s2)):
-                raise ParseError(lineno, "non-finite coordinate")
-            if not np.isfinite(gust) or gust < 0.0:
-                raise ParseError(lineno, f"gust must be finite and >= 0, got {gust}")
-            key = (event, station)
-            if key in seen:
-                raise DuplicateStation(f"duplicate station key {key} at line {lineno}")
-            seen.add(key)
-            records.append(StationRecord(event, station, s1, s2, gust))
-    return StationSet(records=tuple(records))
+        rows = [(reader.line_num, row) for row in reader
+                if row and (len(row) > 1 or row[0].strip())
+                and not (comments and row[0].lstrip()[:1] == "#")]
+    if not rows:
+        raise ShortFile(f"{path}: empty file")
+    header = [h.strip() for h in rows[0][1]]
+    if header != list(columns):
+        raise HeaderMismatch(f"{path}: expected header {','.join(columns)}, "
+                             f"got {','.join(header)}")
+    lines, raw = [ln for ln, _ in rows[1:]], [row for _, row in rows[1:]]
+    ncol, n = len(columns), len(raw)
+    # a row of the wrong width is read as empty fields; its width fails first
+    fixed = [row if len(row) == ncol else [""] * ncol for row in raw]
+    text = [[row[c].strip() for row in fixed] for c in range(n_text)]
+    parsed = [_floats(row[n_text:]) for row in fixed]
+    values = np.array([[np.nan] * (ncol - n_text) if isinstance(p, ValueError)
+                       else p for p in parsed]).reshape(n, ncol - n_text)
+    checks = [
+        ([len(row) != ncol for row in raw], lambda i: ParseError(
+            lines[i], f"expected {ncol} fields, got {len(raw[i])}")),
+        # the column of True gives n rows also when there are no ids
+        ([not all(ids) for ids in zip(*text, [True] * n)],
+         lambda i: ParseError(lines[i], "empty event or station identifier")),
+        ([isinstance(p, ValueError) for p in parsed],
+         lambda i: ParseError(lines[i], f"bad numeric field: {parsed[i]}")),
+    ] + checks(lines, text, values)
+    bad = np.array([mask for mask, _ in checks], dtype=bool)
+    faulty = np.flatnonzero(bad.any(axis=0))
+    if faulty.size:
+        raise checks[int(np.argmax(bad[:, faulty[0]]))][1](faulty[0])
+    return text, values
+
+
+def _floats(fields):
+    """``float()`` of each field, or the ValueError of the first bad one."""
+    try:
+        return [float(v) for v in fields]
+    except ValueError as exc:
+        return exc
+
+
+def _repeats(keys):
+    """Mask of the rows whose key appeared on an earlier row."""
+    first = {}
+    return np.array([first.setdefault(k, i) != i for i, k in enumerate(keys)],
+                    dtype=bool)
+
+
+def load_stations(path, *more_paths) -> StationSet:
+    """Read station CSVs (event,station,s1,s2,gust), several in order.
+
+    The first faulty row in file order raises :class:`ParseError` with its
+    line number, or :class:`DuplicateStation` on a repeated (event,
+    station) key, also one repeated in a later file.
+    """
+    def checks(lines, text, v):
+        keys = list(zip(*text))
+        return [(~np.isfinite(v[:, :2]).all(axis=1),
+                 lambda i: ParseError(lines[i], "non-finite coordinate")),
+                (~(np.isfinite(v[:, 2]) & (v[:, 2] >= 0.0)),
+                 lambda i: ParseError(lines[i], "gust must be finite and "
+                                                f">= 0, got {float(v[i, 2])}")),
+                (_repeats(keys), lambda i: DuplicateStation(
+                    f"duplicate station key {keys[i]} at line {lines[i]}"))]
+
+    parts = [_read_csv(p, STATION_COLUMNS, 2, checks) for p in (path, *more_paths)]
+    event, station = ([v for (text, _) in parts for v in text[k]] for k in (0, 1))
+    keys = list(zip(event, station))
+    dup = np.flatnonzero(_repeats(keys)) if more_paths else []
+    if len(dup):
+        raise DuplicateStation(
+            f"duplicate station key {keys[dup[0]]} across station files")
+    return StationSet(np.array(event, dtype=object), np.array(station, dtype=object),
+                      *np.concatenate([v for _, v in parts]).T.copy())
 
 
 def load_grid(path) -> GridField:
@@ -290,38 +327,56 @@ def save_grid(grid: GridField, path, header_comments=()) -> None:
         fh.write(buf.getvalue())
 
 
+def _live_dot(w, corners):
+    """Per row, the dot of the weights > 0 with their corners, and whether
+    one of those is missing. The zero-padded batched matmul is bit for bit
+    the masked dot ``w[live] @ corners[live]``; a plain sum is not."""
+    live = w > 0.0
+    gap = (np.isnan(corners) & live).any(axis=1)
+    w, corners = np.where(live, w, 0.0), np.where(live, corners, 0.0)
+    return np.matmul(w[:, None, :], corners[:, :, None])[:, 0, 0], gap
+
+
+def _bilinear(grid: GridField, s1, s2):
+    """Bilinear interpolation of the grid at points, on cell centers, as
+    ``(values, gap, outside)``: ``gap`` marks points next to a missing cell
+    that carries weight, ``outside`` (n, 2) points beyond the closed hull
+    along s1 and s2; values there mean nothing."""
+    rel_tol = 1e-9
+    axes = []
+    for v, origin, spacing, n in zip((s1, s2), grid.origin, grid.spacing,
+                                     (grid.n1, grid.n2)):
+        u = (np.asarray(v, dtype=float) - origin) / spacing
+        span = max(n - 1, 1)
+        # negated, so a NaN coordinate is outside too
+        out = ~((u >= -rel_tol * span - rel_tol)
+                & (u <= span * (1 + rel_tol) + rel_tol))
+        u = np.minimum(np.maximum(np.where(out, 0.0, u), 0.0), float(n - 1))
+        i0 = np.minimum(np.floor(u), max(n - 2, 0)).astype(np.intp)
+        axes.append((out, i0, u - i0))
+    (out1, i0, fu), (out2, j0, fv) = axes
+    i1, j1 = np.minimum(i0 + 1, grid.n1 - 1), np.minimum(j0 + 1, grid.n2 - 1)
+    corners = grid.values[np.stack([i0, i0, i1, i1], axis=1),
+                          np.stack([j0, j1, j0, j1], axis=1)]
+    w = np.stack([(1 - fu) * (1 - fv), (1 - fu) * fv, fu * (1 - fv), fu * fv],
+                 axis=1)
+    return (*_live_dot(w, corners), np.column_stack([out1, out2]))
+
+
 def interpolate_field(grid: GridField, s1: float, s2: float) -> float:
-    """Bilinear interpolation of the grid at a point, on cell centers.
+    """Bilinear interpolation of the grid at one point, on cell centers.
 
     The hull is closed: points exactly on the boundary are inside.
     Raises :class:`OutOfDomain` outside the hull and
     :class:`MissingNeighbor` when a surrounding cell is missing.
     """
-    rel_tol = 1e-9
-
-    def axis_index(v, origin, spacing, n, name):
-        u = (v - origin) / spacing
-        span = max(n - 1, 1)
-        if u < -rel_tol * span - rel_tol or u > span * (1 + rel_tol) + rel_tol:
+    x, gap, outside = _bilinear(grid, [s1], [s2])
+    for name, v, out in zip(("s1", "s2"), (s1, s2), outside[0]):
+        if out:
             raise OutOfDomain(f"{name}={v} outside grid hull")
-        if n == 1:
-            return 0, 0.0
-        u = min(max(u, 0.0), float(n - 1))
-        i0 = min(int(np.floor(u)), n - 2)
-        return i0, u - i0
-
-    i0, fu = axis_index(s1, grid.origin[0], grid.spacing[0], grid.n1, "s1")
-    j0, fv = axis_index(s2, grid.origin[1], grid.spacing[1], grid.n2, "s2")
-    i1 = min(i0 + 1, grid.n1 - 1)
-    j1 = min(j0 + 1, grid.n2 - 1)
-    corners = grid.values[[i0, i0, i1, i1], [j0, j1, j0, j1]]
-    w = np.array([(1 - fu) * (1 - fv), (1 - fu) * fv, fu * (1 - fv), fu * fv])
-    # a missing cell only matters if it carries weight; exact cell-center
-    # queries next to a gap stay valid
-    live = w > 0.0
-    if np.any(np.isnan(corners[live])):
+    if gap[0]:
         raise MissingNeighbor(f"missing grid cell near ({s1}, {s2})")
-    return float(w[live] @ corners[live])
+    return float(x[0])
 
 
 def pair_and_threshold(stations: StationSet, grid: GridField, u: float) -> EventDataset:
@@ -332,33 +387,24 @@ def pair_and_threshold(stations: StationSet, grid: GridField, u: float) -> Event
     below ``u`` are dropped and counted in the log, each kind on its own
     line.
     """
-    recs = stations.for_event(grid.event)
-    loc, xs, ys, ids = [], [], [], []
-    outside = below = 0
-    for r in recs:
-        try:
-            x = interpolate_field(grid, r.s1, r.s2)
-        except (OutOfDomain, MissingNeighbor):
-            outside += 1
-            continue
-        if x > u:
-            loc.append((r.s1, r.s2))
-            xs.append(x)
-            ys.append(r.gust)
-            ids.append(r.station)
-        else:
-            below += 1
-    if outside:
-        log.info("event %s: dropped %d station(s) outside the grid", grid.event, outside)
-    if below:
+    sel = np.flatnonzero(stations.event == grid.event)
+    s1, s2 = stations.s1[sel], stations.s2[sel]
+    x, gap, outside = _bilinear(grid, s1, s2)
+    dropped = gap | outside.any(axis=1)
+    keep = ~dropped & (x > u)
+    n_out, n_below = int(dropped.sum()), int((~dropped & ~keep).sum())
+    if n_out:
+        log.info("event %s: dropped %d station(s) outside the grid", grid.event, n_out)
+    if n_below:
         log.info("event %s: dropped %d station(s) at or below the threshold %g",
-                 grid.event, below, u)
-    if not xs:
+                 grid.event, n_below, u)
+    if not keep.any():
         raise EmptyDataset(
             f"event {grid.event}: no station pairs with simulated value > {u}")
-    return EventDataset(event=grid.event, locations=np.array(loc),
-                        x=np.array(xs), y=np.array(ys), threshold=u,
-                        stations=tuple(ids))
+    return EventDataset(event=grid.event,
+                        locations=np.column_stack([s1[keep], s2[keep]]),
+                        x=x[keep], y=stations.gust[sel][keep], threshold=u,
+                        stations=tuple(stations.station[sel][keep].tolist()))
 
 
 def holdout_split(dataset: EventDataset, n_holdout: int, seed: int):
@@ -374,36 +420,14 @@ def holdout_split(dataset: EventDataset, n_holdout: int, seed: int):
 
 
 def load_points(path):
-    """Read a target-point CSV with header s1,s2,x.
-
-    Returns (locations (n,2), intensities (n,)).
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        # (file line, row): comment and blank lines are skipped, not renumbered
-        rows = [(reader.line_num, row) for row in reader
-                if row and (len(row) > 1 or row[0].strip())
-                and row[0].lstrip()[:1] != "#"]
-    if not rows:
-        raise ShortFile(f"{path}: empty file")
-    header = [h.strip() for h in rows[0][1]]
-    if header != ["s1", "s2", "x"]:
-        raise HeaderMismatch(f"{path}: expected header s1,s2,x")
-    loc, x = [], []
-    for lineno, row in rows[1:]:
-        if len(row) != 3:
-            raise ParseError(lineno, f"expected 3 fields, got {len(row)}")
-        try:
-            s1, s2, xi = (float(v) for v in row)
-        except ValueError as exc:
-            raise ParseError(lineno, f"bad numeric field: {exc}") from None
-        if not (np.isfinite(s1) and np.isfinite(s2) and np.isfinite(xi)):
-            raise ParseError(lineno, "non-finite value")
-        loc.append((s1, s2))
-        x.append(xi)
-    if not x:
+    """Read a target-point CSV with header s1,s2,x (``#`` lines are
+    comments) as (locations (n,2), intensities (n,))."""
+    _, v = _read_csv(path, ("s1", "s2", "x"), 0, lambda lines, _, v: [
+        (~np.isfinite(v).all(axis=1),
+         lambda i: ParseError(lines[i], "non-finite value"))], comments=True)
+    if not len(v):
         raise EmptyDataset(f"{path}: no target points")
-    return np.array(loc), np.array(x)
+    return np.ascontiguousarray(v[:, :2]), v[:, 2].copy()
 
 
 def rmse(a, b) -> float:

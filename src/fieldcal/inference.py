@@ -328,20 +328,17 @@ def fit(datasets, prior: PriorSpec, opts: OptimizerOptions,
     if theta0 is None:
         theta0 = default_theta0(datasets)
 
-    # (value, z, updates) of the lowest evaluation so far and, until the
-    # next call, of the one it displaced: out of budget, the search can
-    # stop before taking in its last, lowest point and return the one before
-    best = [(math.inf, None, ())]
+    # (value, z, updates) of the lowest evaluation, which the search returns
+    best = [math.inf, None, ()]
 
     def objective(z):
-        del best[1:]
         z, kept = np.array(z, dtype=float), []
         theta = _unpack(z)
         if theta is None:
             return math.inf
         lp = log_posterior_theta(datasets, theta, prior, keep=kept)
-        if math.isfinite(lp) and -lp < best[0][0]:
-            best.insert(0, (-lp, z, tuple(kept)))
+        if math.isfinite(lp) and -lp < best[0]:
+            best[:] = -lp, z, tuple(kept)
         return -lp if math.isfinite(lp) else math.inf
 
     try:
@@ -353,9 +350,8 @@ def fit(datasets, prior: PriorSpec, opts: OptimizerOptions,
     if theta_hat is None or not math.isfinite(search.fun):
         raise OptimizationFailed("optimizer did not find a finite optimum")
 
-    events = next((efs for _, z, efs in best if np.array_equal(z, search.x)),
-                  None)
-    if events is None:
+    events = best[2]
+    if not np.array_equal(best[1], search.x):
         events = tuple(event_statistics(ds, theta_hat, prior) for ds in datasets)
     bad = [ef.event for ef in events
            if prior.sigmaY ** 2 > theta_hat.lambda2 * ef.sigma_hat2]
@@ -481,6 +477,8 @@ def load_fit(path, events=None) -> ModelFit:
     events named in ``events`` (all when None) are rebuilt and verified
     against their stored summaries. A full load reports the recomputed
     log posterior, a partial load the stored one."""
+    if isinstance(events, str):
+        raise TypeError(f"load_fit: events must be a list of ids, not {events!r}")
     rec = read_fit(path)
     chosen = [blk for blk in rec.events if events is None or blk[0].event in events]
     missing = set(events or ()) - {ds.event for ds, _, _ in chosen}

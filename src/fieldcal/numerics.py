@@ -200,13 +200,15 @@ def nelder_mead(objective, x0, opts: OptimizerOptions) -> SearchResult:
     the simplex spread falls below ``opts.simplex_tolerance`` or after
     ``opts.max_evals`` evaluations. Deterministic for fixed
     ``(x0, opts.seed)``. The objective is called once at ``x0``: that
-    value also serves the first vertex of the first simplex.
+    value also serves the first vertex of the first simplex. The result is
+    the first lowest point evaluated, which scipy's can miss out of budget.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     f0 = float(objective(x0))
     if not math.isfinite(f0):
         raise NonFiniteObjective("objective is not finite at the starting point")
     first_call = [True]
+    best = [f0, x0]
 
     def guarded(x):
         if first_call:
@@ -214,6 +216,8 @@ def nelder_mead(objective, x0, opts: OptimizerOptions) -> SearchResult:
             if np.array_equal(x, x0):
                 return f0
         v = float(objective(x))
+        if v < best[0]:
+            best[:] = v, np.array(x, dtype=float)
         # NaN would corrupt simplex ordering; +inf is rejected cleanly.
         return math.inf if math.isnan(v) else v
 
@@ -222,7 +226,6 @@ def nelder_mead(objective, x0, opts: OptimizerOptions) -> SearchResult:
     for _ in range(opts.restarts - 1):
         starts.append(x0 + rng.normal(scale=0.25 * (np.abs(x0) + 1.0)))
 
-    best_x, best_f = x0, f0
     evaluations, exhausted = 0, False
     for start in starts:
         # scipy's default simplex barely perturbs zero coordinates; a
@@ -242,9 +245,7 @@ def nelder_mead(objective, x0, opts: OptimizerOptions) -> SearchResult:
         )
         evaluations += int(res.nfev)
         exhausted |= res.status == 1
-        if float(res.fun) < best_f:
-            best_x, best_f = np.asarray(res.x, dtype=float), float(res.fun)
-    return SearchResult(x=best_x, fun=best_f, evaluations=evaluations,
+    return SearchResult(x=best[1], fun=best[0], evaluations=evaluations,
                         budget_exhausted=bool(exhausted))
 
 

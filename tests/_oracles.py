@@ -346,6 +346,38 @@ def grid_values_reference(tokens, line):
     return vals
 
 
+def interpolate_field_reference(grid, s1: float, s2: float) -> float:
+    """Bilinear interpolation of one point by a masked 4-term dot, as
+    ``dataio.interpolate_field`` did before it wrapped the vector path."""
+    from fieldcal.dataio import MissingNeighbor, OutOfDomain
+
+    rel_tol = 1e-9
+
+    def axis_index(v, origin, spacing, n, name):
+        u = (v - origin) / spacing
+        span = max(n - 1, 1)
+        if u < -rel_tol * span - rel_tol or u > span * (1 + rel_tol) + rel_tol:
+            raise OutOfDomain(f"{name}={v} outside grid hull")
+        if n == 1:
+            return 0, 0.0
+        u = min(max(u, 0.0), float(n - 1))
+        i0 = min(int(np.floor(u)), n - 2)
+        return i0, u - i0
+
+    i0, fu = axis_index(s1, grid.origin[0], grid.spacing[0], grid.n1, "s1")
+    j0, fv = axis_index(s2, grid.origin[1], grid.spacing[1], grid.n2, "s2")
+    i1 = min(i0 + 1, grid.n1 - 1)
+    j1 = min(j0 + 1, grid.n2 - 1)
+    corners = grid.values[[i0, i0, i1, i1], [j0, j1, j0, j1]]
+    w = np.array([(1 - fu) * (1 - fv), (1 - fu) * fv, fu * (1 - fv), fu * fv])
+    # a missing cell only matters if it carries weight; exact cell-center
+    # queries next to a gap stay valid
+    live = w > 0.0
+    if np.any(np.isnan(corners[live])):
+        raise MissingNeighbor(f"missing grid cell near ({s1}, {s2})")
+    return float(w[live] @ corners[live])
+
+
 def save_grid_reference(grid, path, header_comments=()):
     """FIELDGRID v1 writer testing each cell with ``np.isnan`` and
     formatting the numpy scalar, as ``dataio.save_grid`` did before it

@@ -12,7 +12,7 @@ on the production covariance assembly it is used to test.
 import numpy as np
 from scipy.special import gamma, kv
 
-from fieldcal.dataio import EventDataset, GridField, interpolate_field, save_grid
+from fieldcal.dataio import EventDataset, GridField, _bilinear, save_grid
 
 # generating hyperparameters; sigma^2*lambda2 must exceed SIGMA_Y^2 so
 # the micro-scale variance stays positive
@@ -82,7 +82,8 @@ def synth_event(event, rng, n_stations=200, beta=TRUE_BETA):
     """One event: grid plus stations with model-drawn measurements."""
     grid = make_grid(event, rng)
     loc = rng.uniform(1.0, float(GRID_N - 2), size=(n_stations, 2))
-    x = np.array([interpolate_field(grid, s1, s2) for s1, s2 in loc])
+    x, gap, outside = _bilinear(grid, loc[:, 0], loc[:, 1])
+    assert not (gap.any() or outside.any())
 
     h = np.column_stack([np.ones(n_stations), x, x * x])
     corr = smooth_correlation(loc, x)

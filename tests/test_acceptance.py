@@ -423,8 +423,7 @@ def test_property_invariants_bundle(capsys, tmp_path):
         "event,station,s1,s2,gust\nA,s1,0.25,0.5,21.125\nA,s2,1.5,2.75,18\n",
         encoding="utf-8")
     st = load_stations(tmp_path / "st.csv")
-    st_ok = (len(st.records) == 2 and st.records[0].gust == 21.125
-             and st.records[1].s2 == 2.75)
+    st_ok = (len(st) == 2 and st.gust[0] == 21.125 and st.s2[1] == 2.75)
 
     lp = log_posterior_theta([ds], theta, prior)
     save_fit(ModelFit(theta=theta, events=(ef,), prior=prior,

@@ -139,6 +139,24 @@ def test_config_errors_exit_2(corpus_dir, tmp_path):
     assert cli.main(["fit", "-c", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_duplicate_station_across_files_is_a_user_error(corpus_dir, tmp_path,
+                                                        caplog):
+    # the same (event, station) key in two files passed to fit
+    rows = (corpus_dir / "stations.csv").read_text().splitlines()
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first.write_text("\n".join(rows[:4]) + "\n")
+    second.write_text("\n".join([rows[0], rows[3]] + rows[4:]) + "\n")
+    with caplog.at_level(logging.ERROR, logger="fieldcal"):
+        rc = cli.main(["fit", "-c", str(corpus_dir / "run.cfg"),
+                       "--set", f"stations={first},{second}",
+                       "--set", f"output_dir={tmp_path}"])
+    assert rc == 2
+    key = tuple(rows[3].split(",")[:2])
+    assert f"DuplicateStation: duplicate station key {key} across station files" \
+        in caplog.text
+    assert not (tmp_path / "fit.out").exists()
+
+
 def test_non_finite_theta0_is_a_config_error(corpus_dir, tmp_path, caplog):
     out = tmp_path / "fit_nan.out"
     rc = cli.main(["fit", "-c", str(corpus_dir / "run.cfg"),

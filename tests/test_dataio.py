@@ -17,7 +17,6 @@ from fieldcal.dataio import (
     OutOfDomain,
     ParseError,
     ShortFile,
-    StationSet,
     holdout_split,
     interpolate_field,
     load_grid,
@@ -27,8 +26,9 @@ from fieldcal.dataio import (
     rmse,
     save_grid,
 )
-from fieldcal.dataio import _grid_values
-from _oracles import grid_values_reference, save_grid_reference
+from fieldcal.dataio import _grid_values, _live_dot
+from _oracles import (grid_values_reference, interpolate_field_reference,
+                      save_grid_reference)
 
 STATION_HEADER = "event,station,s1,s2,gust\n"
 
@@ -52,12 +52,20 @@ def test_load_stations_valid(tmp_path):
     ss = load_stations(p)
     assert len(ss) == 3
     assert ss.events() == ["ev1", "ev2"]
-    ev1 = ss.for_event("ev1")
-    assert [r.station for r in ev1] == ["A", "B"]
-    assert ev1[0].gust == 21.5
-    assert ev1[1].s2 == 2.5
+    ev1 = ss.event == "ev1"
+    assert ss.station[ev1].tolist() == ["A", "B"]
+    assert ss.gust[ev1][0] == 21.5
+    assert ss.s2[ev1][1] == 2.5
     # same station id under another event is a different key
-    assert len(ss.for_event("ev2")) == 1
+    assert int(np.sum(ss.event == "ev2")) == 1
+    # every column in file order
+    assert ss.event.tolist() == ["ev1", "ev1", "ev2"]
+    np.testing.assert_array_equal(ss.s1, [0.0, 1.0, 4.0])
+    np.testing.assert_array_equal(ss.gust, [21.5, 18.0, 30.25])
+    # ids stay exactly as read: a trailing NUL is not dropped
+    ss = load_stations(write(tmp_path / "st.csv", STATION_HEADER
+                             + "ev1,A\x00,0,0,1\nev1,A,0,0,1\n"))
+    assert ss.station.tolist() == ["A\x00", "A"]
 
 
 def test_load_stations_negative_gust_line_number(tmp_path):
@@ -96,6 +104,49 @@ def test_load_stations_bad_numeric(tmp_path):
 def test_load_stations_empty_file(tmp_path):
     with pytest.raises(ShortFile):
         load_stations(write(tmp_path / "st.csv", ""))
+    # a header alone is an empty set, paired with nothing
+    ss = load_stations(write(tmp_path / "st.csv", STATION_HEADER))
+    assert len(ss) == 0 and ss.events() == []
+    with pytest.raises(EmptyDataset):
+        pair_and_threshold(ss, grid_2x2(), 15.0)
+
+
+@pytest.mark.parametrize("body, error, line", [
+    # a duplicate key on line 5 wins over a negative gust on line 9
+    ("ev1,A,0,0,1\nev1,B,0,0,1\nev1,C,0,0,1\nev1,A,1,1,2\n"
+     "ev1,D,0,0,1\nev1,E,0,0,1\nev1,F,0,0,1\nev1,G,0,0,-1\n",
+     DuplicateStation, 5),
+    # and a negative gust on line 3 over a duplicate key on line 5
+    ("ev1,A,0,0,1\nev1,B,0,0,-1\nev1,C,0,0,1\nev1,A,1,1,2\n",
+     ParseError, 3),
+    # later rows of the wrong width, with empty ids or bad numbers lose
+    ("ev1,A,0,0,1\nev1,B,inf,0,1\nev1,C,0,0\n,D,0,0,1\nev1,E,x,0,1\n",
+     ParseError, 3),
+    ("ev1,A,0,0,1\nev1,B,0,0,1,9\n,C,0,0,1\n", ParseError, 3),
+    ("ev1,A,0,0,1\n ,B,0,0,1\nev1,C,0,0,1,9\n", ParseError, 3),
+])
+def test_load_stations_first_faulty_row_wins(tmp_path, body, error, line):
+    with pytest.raises(error, match=f"line {line}"):
+        load_stations(write(tmp_path / "st.csv", STATION_HEADER + body))
+
+
+def test_load_stations_one_row_reports_its_first_check(tmp_path):
+    # the checks of one row run in order: width, ids, numbers, coordinates,
+    # gust, key; each message names the physical line (blank lines count)
+    for row, msg in (("ev1,A,nan,0,-1,7", "line 4: expected 5 fields, got 6"),
+                     ("ev1, ,x,0,-1", "line 4: empty event or station identifier"),
+                     ("ev1,B,0,zz,-1", "line 4: bad numeric field: could not "
+                                       "convert string to float: 'zz'"),
+                     ("ev1,B,nan,0,-1", "line 4: non-finite coordinate"),
+                     ("ev1,B,0,0,-1", "line 4: gust must be finite and >= 0, got -1.0"),
+                     ("ev1,A,0,0,inf", "line 4: gust must be finite and >= 0, got inf")):
+        with pytest.raises(ParseError, match=re.escape(msg)):
+            load_stations(write(tmp_path / "st.csv",
+                                STATION_HEADER + "ev1,A,0,0,1\n\n" + row + "\n"))
+    with pytest.raises(DuplicateStation, match=re.escape(
+            "duplicate station key ('ev1', 'A') at line 4")):
+        load_stations(write(tmp_path / "st.csv",
+                            STATION_HEADER + "ev1,A,0,0,1\n\n ev1 , A ,1,1,2\n"))
 
 
 def test_grid_round_trip(tmp_path):
@@ -305,6 +356,75 @@ def test_interpolate_boundary_closed_and_outside():
         interpolate_field(g, 0.5, 1.2)
 
 
+def _same(got, want):
+    """Equal bit for bit, or the same exception and message."""
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _both(grid, a, b):
+    out = []
+    for f in (interpolate_field, interpolate_field_reference):
+        try:
+            out.append(f(grid, a, b))
+        except (OutOfDomain, MissingNeighbor) as exc:
+            out.append(exc)
+    return out
+
+
+def test_live_dot_matches_masked_dot_on_every_live_pattern():
+    # the zero-padded batched matmul against the masked dot of the
+    # previous scalar path, for each of the 15 sets of weighted corners
+    rng = np.random.default_rng(41)
+    for pattern in range(1, 16):
+        live = np.array([pattern >> k & 1 for k in range(4)], dtype=bool)
+        w = rng.uniform(0.0, 1.0, size=(2000, 4)) * live
+        corners = rng.uniform(-40.0, 40.0, size=(2000, 4))
+        corners[:, ~live] = np.nan
+        got, gap = _live_dot(w, corners)
+        assert not gap.any()
+        want = np.array([w[i][live] @ corners[i][live] for i in range(2000)])
+        assert got.tobytes() == want.tobytes()
+        # a NaN corner with weight is a gap
+        corners[:, np.flatnonzero(live)[0]] = np.nan
+        assert _live_dot(w, corners)[1].all()
+
+
+def test_interpolate_matches_scalar_reference_bitwise():
+    rng = np.random.default_rng(17)
+    rel_tol = 1e-9
+    for n1, n2 in ((7, 5), (1, 6), (5, 1), (1, 1), (2, 2)):
+        o = tuple(rng.uniform(-5.0, 5.0, size=2))
+        d = tuple(rng.uniform(0.1, 3.0, size=2))
+        vals = rng.uniform(10.0, 40.0, size=(n1, n2))
+        vals[rng.uniform(size=(n1, n2)) < 0.15] = np.nan
+        g = GridField(event="e", n1=n1, n2=n2, origin=o, spacing=d, values=vals)
+        span1, span2 = max(n1 - 1, 1), max(n2 - 1, 1)
+        pts = [tuple(o[k] + d[k] * rng.uniform(-0.2, 1.2) * span
+                     for k, span in ((0, span1), (1, span2)))
+               for _ in range(400)]
+        # cell centers (exact corners, next to NaN cells at zero weight)
+        pts += [(o[0] + i * d[0], o[1] + j * d[1])
+                for i in range(n1) for j in range(n2)]
+        # hull edges at exactly the tolerance and one ulp beyond it
+        lo = [-rel_tol * s - rel_tol for s in (span1, span2)]
+        hi = [s * (1 + rel_tol) + rel_tol for s in (span1, span2)]
+        edge = []
+        for k in range(2):
+            for u in (lo[k], hi[k], np.nextafter(lo[k], -np.inf),
+                      np.nextafter(hi[k], np.inf), -0.0):
+                other = rng.uniform(0.0, 1.0) * (span2 if k == 0 else span1)
+                edge.append((u, other) if k == 0 else (other, u))
+        g0 = GridField(event="e", n1=n1, n2=n2, origin=(0.0, 0.0),
+                       spacing=(1.0, 1.0), values=vals)
+        for grid, points in ((g, pts), (g0, edge)):
+            for a, b in points:
+                _same(*_both(grid, float(a), float(b)))
+
+
 def test_interpolate_missing_neighbor():
     g = grid_2x2(values=((1.0, np.nan), (3.0, 4.0)))
     with pytest.raises(MissingNeighbor):
@@ -313,12 +433,36 @@ def test_interpolate_missing_neighbor():
     assert interpolate_field(g, 1.0, 0.0) == 3.0
 
 
-def test_pair_and_threshold_strict():
+def test_pair_matches_scalar_reference_bitwise(tmp_path):
+    rng = np.random.default_rng(29)
+    vals = rng.uniform(10.0, 20.0, size=(9, 7))
+    vals[3, 2] = np.nan
+    g = GridField(event="e", n1=9, n2=7, origin=(1.0, -2.0),
+                  spacing=(0.7, 1.3), values=vals)
+    pts = rng.uniform([0.5, -2.5], [7.1, 6.3], size=(300, 2))
+    ss = _stations_from_text(tmp_path, "".join(
+        f"e,S{k},{a!r},{b!r},{k}\n" for k, (a, b) in enumerate(pts.tolist())))
+    want = []
+    for k, (a, b) in enumerate(pts):
+        try:
+            x = interpolate_field_reference(g, a, b)
+        except (OutOfDomain, MissingNeighbor):
+            continue
+        if x > 15.0:
+            want.append((k, x))
+    ds = pair_and_threshold(ss, g, 15.0)
+    assert list(ds.stations) == [f"S{k}" for k, _ in want]
+    assert ds.x.tobytes() == np.array([x for _, x in want]).tobytes()
+    np.testing.assert_array_equal(ds.locations, pts[[k for k, _ in want]])
+    np.testing.assert_array_equal(ds.y, [k for k, _ in want])
+
+
+def test_pair_and_threshold_strict(tmp_path):
     recs = ("ev1,A,0.0,0.0,20.0\n"
             "ev1,B,1.0,1.0,22.0\n"
             "ev1,C,0.5,0.5,25.0\n"
             "ev2,D,0.5,0.5,30.0\n")
-    ss = _stations_from_text(recs)
+    ss = _stations_from_text(tmp_path, recs)
     # grid values: A sees 14.0 (excluded), B 15.01 (included), C 15.0025
     g = grid_2x2(values=[[14.0, 15.0], [16.0, 15.01]])
     ds = pair_and_threshold(ss, g, 15.0)
@@ -330,35 +474,27 @@ def test_pair_and_threshold_strict():
     assert len(ds) == 2
 
 
-def _stations_from_text(body):
-    import csv
-    import io
-
-    rows = list(csv.reader(io.StringIO(STATION_HEADER + body)))
-    from fieldcal.dataio import StationRecord
-
-    recs = [StationRecord(r[0], r[1], float(r[2]), float(r[3]), float(r[4]))
-            for r in rows[1:] if r]
-    return StationSet(records=tuple(recs))
+def _stations_from_text(tmp_path, body):
+    return load_stations(write(tmp_path / "stations.csv", STATION_HEADER + body))
 
 
-def test_pair_drops_out_of_hull():
+def test_pair_drops_out_of_hull(tmp_path):
     recs = ("ev1,A,0.5,0.5,20.0\n"
             "ev1,B,5.0,5.0,22.0\n")
-    ss = _stations_from_text(recs)
+    ss = _stations_from_text(tmp_path, recs)
     g = grid_2x2(values=[[20.0, 20.0], [20.0, 20.0]])
     ds = pair_and_threshold(ss, g, 15.0)
     assert list(ds.stations) == ["A"]
 
 
-def test_pair_logs_hull_and_threshold_drops_separately(caplog):
+def test_pair_logs_hull_and_threshold_drops_separately(tmp_path, caplog):
     recs = ("ev1,A,0.5,0.5,20.0\n"      # kept
             "ev1,B,5.0,5.0,22.0\n"      # outside the hull
             "ev1,C,-3.0,0.5,22.0\n"     # outside the hull
             "ev1,D,0.0,0.0,21.0\n"      # 14.0, below u
             "ev1,E,0.0,1.0,21.0\n"      # 15.0, at u
             "ev1,F,1.0,0.0,21.0\n")     # 16.0, kept
-    ss = _stations_from_text(recs)
+    ss = _stations_from_text(tmp_path, recs)
     g = grid_2x2(values=[[14.0, 15.0], [16.0, 17.0]])
     with caplog.at_level(logging.INFO, logger="fieldcal.dataio"):
         ds = pair_and_threshold(ss, g, 15.0)
@@ -371,12 +507,13 @@ def test_pair_logs_hull_and_threshold_drops_separately(caplog):
     # nothing dropped: nothing logged
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="fieldcal.dataio"):
-        pair_and_threshold(_stations_from_text("ev1,A,0.5,0.5,20.0\n"), g, 15.0)
+        pair_and_threshold(_stations_from_text(tmp_path, "ev1,A,0.5,0.5,20.0\n"),
+                           g, 15.0)
     assert caplog.records == []
 
 
-def test_pair_empty_raises():
-    ss = _stations_from_text("ev1,A,0.5,0.5,20.0\n")
+def test_pair_empty_raises(tmp_path):
+    ss = _stations_from_text(tmp_path, "ev1,A,0.5,0.5,20.0\n")
     g = grid_2x2(values=[[10.0, 10.0], [10.0, 10.0]])
     with pytest.raises(EmptyDataset):
         pair_and_threshold(ss, g, 15.0)
@@ -386,7 +523,7 @@ def test_pair_empty_raises():
         pair_and_threshold(ss, g2, 15.0)
 
 
-def test_pair_counting_oracle():
+def test_pair_counting_oracle(tmp_path):
     rng = np.random.default_rng(23)
     n1 = n2 = 6
     vals = rng.uniform(10.0, 20.0, size=(n1, n2))
@@ -396,12 +533,12 @@ def test_pair_counting_oracle():
     for k in range(60):
         a, b = rng.uniform(-0.5, 5.5, size=2)
         recs.append(f"e,S{k},{a},{b},{rng.uniform(0, 40)}")
-    ss = _stations_from_text("\n".join(recs) + "\n")
+    ss = _stations_from_text(tmp_path, "\n".join(recs) + "\n")
     u = 15.0
     want = 0
-    for r in ss.records:
-        if 0.0 <= r.s1 <= 5.0 and 0.0 <= r.s2 <= 5.0:
-            if interpolate_field(g, r.s1, r.s2) > u:
+    for s1, s2 in zip(ss.s1.tolist(), ss.s2.tolist()):
+        if 0.0 <= s1 <= 5.0 and 0.0 <= s2 <= 5.0:
+            if interpolate_field(g, s1, s2) > u:
                 want += 1
     ds = pair_and_threshold(ss, g, u)
     assert len(ds) == want

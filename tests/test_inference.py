@@ -358,20 +358,18 @@ def test_fit_reuses_the_updates_of_its_best_evaluation(monkeypatch):
 
     monkeypatch.setattr(inf, "event_statistics", counting)
     monkeypatch.setattr(inf, "log_posterior_theta", recording)
-    lost = 0
     for max_evals in range(10, 26):
         built.clear()
         values.clear()
         mf = fit(datasets, prior, OptimizerOptions(max_evals=max_evals))
-        # the search's own evaluation at theta_hat is kept, not rebuilt,
-        # also when the budget ran out right after a lower point
-        lost += max(values) > -mf.search.fun
+        # the search returns its lowest evaluation, also when the budget
+        # ran out right after it, and its updates are kept, not rebuilt
+        assert max(values) == -mf.search.fun == mf.log_posterior
         assert len(built) == 2 * len(values) == 2 * mf.search.evaluations
         assert all(any(ef is b for b in built) for ef in mf.events)
         for ef, ds in zip(mf.events, datasets):
             np.testing.assert_array_equal(ef.beta_hat,
                                           real(ds, mf.theta, prior).beta_hat)
-    assert lost
 
     # a search returning a point other than an evaluation it kept (here
     # its start) gets updates rebuilt at that point
@@ -594,6 +592,9 @@ def test_partial_load_builds_and_verifies_only_the_requested_events(
                                   full.event("B2").beta_hat)
     with pytest.raises(UnknownEvent):
         load_fit(path, events=["C3"])
+    # a bare string is not a collection of ids (it would match substrings)
+    with pytest.raises(TypeError, match="events"):
+        load_fit(path, events="B2")
 
     # a corrupt summary is caught on a requested event only
     bad = tmp_path / "bad.out"

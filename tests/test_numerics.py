@@ -290,6 +290,24 @@ def test_nelder_mead_never_worse_than_start():
     assert res.fun == pytest.approx(3.25)
 
 
+def test_nelder_mead_returns_its_lowest_evaluation():
+    # out of budget, scipy can stop before taking in a last reflection
+    # that beat the whole simplex; the search still returns that point
+    weights, target = np.array([1.0, 3.0, 10.0]), np.array([1.0, -2.0, 0.5])
+    seen = []
+
+    def obj(x):
+        seen.append((float(np.sum(weights * (x - target) ** 2)), x.copy()))
+        return seen[-1][0]
+
+    for max_evals in (5, 10, 15, 21):
+        seen.clear()
+        res = nelder_mead(obj, np.zeros(3), OptimizerOptions(max_evals=max_evals))
+        low_f, low_x = min(seen, key=lambda fx: fx[0])
+        assert res.fun == low_f and res.budget_exhausted
+        np.testing.assert_array_equal(res.x, low_x)
+
+
 def test_nelder_mead_restarts_deterministic():
     def bumpy(x):
         return float(np.sum(x ** 2) + 2.0 * np.sin(5.0 * x[0]))
