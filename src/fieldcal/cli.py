@@ -158,8 +158,8 @@ def parse_config(path, overrides=()) -> RunConfig:
             theta0=theta0, config_hash=cfg_hash)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.threshold_u < 0:
-        raise ConfigError("threshold must be >= 0")
+    if not (np.isfinite(cfg.threshold_u) and cfg.threshold_u >= 0.0):
+        raise ConfigError("threshold must be finite and >= 0")
     return cfg
 
 

@@ -82,6 +82,9 @@ class PriorSpec:
             raise ValueError(f"prior b must have length {q}")
         if self.B.shape != (q, q):
             raise ValueError(f"prior B must be {q}x{q}")
+        for name in ("b", "B", "a", "d", "sigmaY"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"prior {name} must be finite")
         if self.a < 0.0 or self.d < 0.0:
             raise ValueError("a and d must be >= 0")
         if not self.sigmaY > 0.0:

@@ -115,7 +115,7 @@ def test_threshold_excluding_everything_is_a_user_error(corpus_dir):
     assert rc == 2
 
 
-def test_config_errors_exit_2(corpus_dir, tmp_path):
+def test_config_errors_exit_2(corpus_dir, tmp_path, caplog):
     rc = cli.main(["fit", "-c", str(corpus_dir / "run.cfg"),
                    "--set", "bogus_key=1"])
     assert rc == 2
@@ -137,6 +137,22 @@ def test_config_errors_exit_2(corpus_dir, tmp_path):
     assert cli.main(["fit", "-c", str(missing)]) == 2
 
     assert cli.main(["fit", "-c", str(tmp_path / "absent.cfg")]) == 2
+
+    # a non-finite prior or threshold setting is named as a config error,
+    # before any fit runs or output is written
+    out = tmp_path / "fit_bad.out"
+    for setting, name in (
+            ("prior_b=0,nan,0", "prior b"), ("prior_B_diag=0.1,inf,1", "prior B"),
+            ("prior_B_diag=0.1,nan,1", "prior B"), ("a=nan", "prior a"),
+            ("a=inf", "prior a"), ("d=nan", "prior d"),
+            ("sigma_y=inf", "prior sigmaY"), ("threshold=nan", "threshold"),
+            ("threshold=inf", "threshold")):
+        caplog.clear()
+        rc = cli.main(["fit", "-c", str(corpus_dir / "run.cfg"),
+                       "--set", setting, "-o", str(out)])
+        assert rc == 2, setting
+        assert f"ConfigError: {name} must be finite" in caplog.text, setting
+        assert not out.exists()
 
 
 def test_duplicate_station_across_files_is_a_user_error(corpus_dir, tmp_path,

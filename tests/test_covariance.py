@@ -10,8 +10,10 @@ from scipy.spatial.distance import squareform
 from scipy.special import kv
 
 from fieldcal.covariance import (
+    _CHUNK,
     _PIECE,
     _U_LOW,
+    _matern_table,
     _matern_values,
     NU_BOUNDS,
     Hyperparameters,
@@ -205,6 +207,48 @@ def test_matern_matches_kv_reference():
         assert got[0] == 1.0
         assert np.all(_matern_values(np.zeros((2, 3)), phi, nu) == 1.0)
     assert worst <= 1e-12
+
+
+def test_matern_non_finite_lags():
+    # NaN stays NaN on every path (tabulated, closed form, kv) and +inf
+    # gives 0; a NaN lag never yields a finite value
+    h = np.array([1.0, np.nan, np.inf, 0.0, np.nan])
+    for nu in (0.8, 1.2, 0.5, 1.5, 2.5, 0.01, 40.0):
+        got = _matern_values(h, 2.0, nu)
+        assert np.isnan(got[[1, 4]]).all()
+        assert got[2] == 0.0 and got[3] == 1.0
+        assert np.isfinite(got[[0, 2, 3]]).all()
+    lags = np.where(np.arange(2000) % 7 == 3, np.nan,
+                    np.geomspace(1e-9, 300.0, 2000))
+    got = _matern_values(lags, 1.3, 1.2)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(lags))
+
+
+def test_matern_blocks_are_independent():
+    # lags spanning more than 3 evaluation blocks give, bit for bit, what
+    # each block gives on its own
+    rng = np.random.default_rng(5)
+    h = rng.uniform(0.0, 80.0, 3 * _CHUNK + 1234)
+    h[::997] = 0.0
+    for nu in (1.2, 1.5, 40.0):
+        whole = _matern_values(h, 3.0, nu)
+        parts = [_matern_values(h[i:i + _CHUNK], 3.0, nu)
+                 for i in range(0, h.size, _CHUNK)]
+        assert len(parts) == 4
+        np.testing.assert_array_equal(whole, np.concatenate(parts))
+
+
+def test_matern_table_is_cached_and_read_only():
+    _matern_table.cache_clear()
+    table = _matern_table(1.2)
+    assert _matern_table(1.2) is table
+    assert _matern_table(0.8) is not table
+    assert _matern_table.cache_info().hits == 1
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    # degree 4 on pieces of width 1/128 over [_U_LOW, ln 47.4]
+    assert table.shape == (5, math.ceil((math.log(47.4) - _U_LOW) / _PIECE))
 
 
 def test_intensity_factor_values():

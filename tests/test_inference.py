@@ -70,6 +70,17 @@ def test_prior_spec_validation():
         PriorSpec(b=[0.0], B=[[1.0]], sigmaY=0.0, basis_degree=0)
     with pytest.raises(ValueError, match="basis_degree"):
         PriorSpec(b=np.zeros(4), B=np.eye(4), basis_degree=3)
+    # a non-finite setting is named, not left to fail inside LAPACK or
+    # the objective
+    for bad in (math.nan, math.inf, -math.inf):
+        for name, kwargs in (
+                ("b", dict(b=[0.0, bad, 0.0])),
+                ("B", dict(B=np.diag([0.1, bad, 1.0]))),
+                ("a", dict(a=bad)), ("d", dict(d=bad)),
+                ("sigmaY", dict(sigmaY=bad))):
+            spec = {"b": [0.0, 1.0, 0.0], "B": np.eye(3), **kwargs}
+            with pytest.raises(ValueError, match=f"prior {name} must be finite"):
+                PriorSpec(**spec)
     p = default_prior()
     assert p.q == 3
     np.testing.assert_array_equal(p.b, [0.0, 1.0, 0.0])
@@ -665,6 +676,27 @@ def test_artifact_with_non_finite_theta_is_rejected(tmp_path):
                                       + lines[at + 1:]) + "\n")
             with pytest.raises(ArtifactError, match=f"{name} must be finite"):
                 load_fit(path)
+
+
+def test_artifact_with_non_finite_prior_is_rejected(tmp_path):
+    rng = np.random.default_rng(67)
+    prior = default_prior()
+    ef = event_statistics(make_dataset(rng, 8), THETA, prior)
+    path = tmp_path / "fit.out"
+    save_fit(ModelFit(theta=THETA, events=(ef,), prior=prior,
+                      log_posterior=0.0), path)
+    lines = path.read_text().splitlines()
+    for key, name in (("prior_b", "b"), ("prior_B", "B"), ("prior_a", "a"),
+                      ("prior_d", "d"), ("prior_sigmaY", "sigmaY")):
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(key + " "))
+        for token in ("nan", "inf"):
+            parts = lines[at].split()
+            parts[-1] = token
+            path.write_text("\n".join(lines[:at] + [" ".join(parts)]
+                                      + lines[at + 1:]) + "\n")
+            with pytest.raises(ArtifactError,
+                               match=f"prior {name} must be finite"):
+                read_fit(path)
 
 
 def test_model_fit_requires_events():
