@@ -318,11 +318,11 @@ def save_grid(grid: GridField, path, header_comments=()) -> None:
     buf.write(f"dims {grid.n1} {grid.n2}\n")
     buf.write(f"origin {grid.origin[0]:.6g} {grid.origin[1]:.6g}\n")
     buf.write(f"spacing {grid.spacing[0]:.6g} {grid.spacing[1]:.6g}\n")
-    # plain Python floats: numpy scalar calls per cell cost more than
-    # the formatting itself; v != v is the NaN test
-    for row in grid.values.tolist():
-        buf.write(" ".join(["NA" if v != v else f"{v:.6g}" for v in row])
-                  + "\n")
+    # one %-format per grid on plain Python floats; "%.6g" writes NaN as
+    # "nan", which no other value's text contains
+    row = " ".join(["%.6g"] * grid.n2) + "\n"
+    text = (row * grid.n1) % tuple(grid.values.ravel().tolist())
+    buf.write(text.replace("nan", "NA"))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
 

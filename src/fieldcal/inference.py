@@ -20,6 +20,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .covariance import (NU_BOUNDS, Hyperparameters, correlation_matrix_arrays,
                          rotate_array)
@@ -122,8 +123,8 @@ class EventFit:
     :func:`event_statistics`.
 
     The stored fields are what the evidence needs. ``weights``,
-    ``Ainv_H`` and ``Bstar``, which only prediction reads, are computed
-    on first use, so the theta objective never pays for them.
+    ``Ainv_H``, ``Linv_T`` and ``Bstar``, which only prediction reads,
+    are computed on first use, so the theta objective never pays for them.
     """
 
     dataset: EventDataset
@@ -167,6 +168,12 @@ class EventFit:
     @functools.cached_property
     def Ainv_H(self) -> np.ndarray:
         return self.A_factor.solve_upper(self.W_H)
+
+    @functools.cached_property
+    def Linv_T(self) -> np.ndarray:
+        # (L^{-1})^T, C-contiguous (the transpose of LAPACK's Fortran
+        # order): t^T A^{-1} t = ||t^T Linv_T||^2 is then one GEMM
+        return lapack.dtrtri(self.A_factor.lower, lower=1)[0].T
 
     @functools.cached_property
     def Bstar(self) -> np.ndarray:

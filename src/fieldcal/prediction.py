@@ -4,6 +4,8 @@ Everything here conditions the marginal Gaussian model on one event's
 training pairs. The coefficient uncertainty is kept (the prior scale B
 is finite), so far from the data predictions revert to the regression
 mean with an inflated basis-term variance instead of collapsing.
+Diagonal-only posteriors run over the targets in blocks of one Matern
+kernel chunk of lags, so their working set stays in cache at any size.
 """
 
 from __future__ import annotations
@@ -13,16 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import squareform
 
-from .covariance import correlation_block, rotate_array, smooth_correlation
+from .covariance import (_CHUNK, correlation_block, rotate_array,
+                         smooth_correlation)
 from .dataio import GridField
 from .inference import ModelFit, basis_matrix
 from .numerics import pivoted_cholesky, std_normal_quantile, student_t_quantile
 
 # degrees of freedom above which Gaussian quantiles replace Student-t
 GAUSSIAN_DF = 30
-# targets per block of the diagonal-only posterior; at K stations a
-# block holds a few BLOCK_TARGETS x K arrays (about 3 MB each at K = 200)
-BLOCK_TARGETS = 2048
 # most targets a full-covariance posterior may have: it builds several
 # dense n x n matrices (about 190 MiB each at the limit)
 FULL_COV_MAX_TARGETS = 5000
@@ -135,17 +135,21 @@ def _conditional(fit: ModelFit, event: str, targets, full_cov: bool,
         var = np.diag(cov).copy()
     else:
         # targets do not couple in the diagonal, so each block of rows is
-        # conditioned on its own and the working set stays a few BLOCK x K
-        # arrays however many targets there are
+        # conditioned on its own; a block's lags are one kernel chunk, so
+        # T and the kernel's temporaries stay in cache whatever K and n are.
+        # Whole groups of 8 rows keep BLAS's matrix-vector kernel grouping
+        # every row as in one call over all targets, so the mean does not
+        # depend on the blocking, not even in its last bit
         cov = None
         mean = np.empty(n)
         var = np.empty(n)
-        for lo in range(0, n, BLOCK_TARGETS):
-            blk = slice(lo, lo + BLOCK_TARGETS)
+        rows = max(_CHUNK // ef.K // 8, 1) * 8
+        for lo in range(0, n, rows):
+            blk = slice(lo, lo + rows)
             t_mat, mean[blk], r = block(blk)
-            # t_i^T A^{-1} t_i = ||L^{-1} t_i||^2, one triangular solve
-            w = ef.A_factor.solve_lower(t_mat.T)
-            var[blk] = (1.0 + nugget_z - np.einsum("ij,ij->j", w, w)
+            # t_i^T A^{-1} t_i = ||L^{-1} t_i||^2, one GEMM against L^{-1}
+            w = t_mat @ ef.Linv_T
+            var[blk] = (1.0 + nugget_z - np.einsum("ij,ij->i", w, w)
                         + np.einsum("ij,ij->i", r @ ef.Bstar, r))
         var = ef.sigma_hat2 * np.clip(var, 0.0, None) + noise
     return PosteriorField(event=event, locations=loc, intensities=x,
@@ -233,15 +237,18 @@ def export_grids(pf: PosteriorField, grid: GridField):
 
     Returns a dict of GridFields: posterior mean, posterior SD, mean
     minus simulated, mean over simulated (missing where the simulated
-    value is 0), and the extrapolation mask (1 where the simulated value
-    was at or below the fit threshold).
+    value is 0 or so small that the quotient overflows), and the
+    extrapolation mask (1 where the simulated value was at or below the
+    fit threshold).
     """
     if pf.cell_index is None:
         raise ValueError("posterior was not produced by predict_grid")
     sim = grid.values.ravel()[pf.cell_index]
-    # a zero simulated value is legal input; its ratio is undefined (NA)
-    ratio = np.divide(pf.mean, sim, out=np.full_like(pf.mean, np.nan),
-                      where=sim != 0.0)
+    # a zero simulated value is legal input; its ratio is undefined (NA),
+    # as is one that overflows (a subnormal simulated value)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = pf.mean / sim
+    ratio[~np.isfinite(ratio)] = np.nan
     out = {
         "mean": _scatter(grid, pf, pf.mean),
         "sd": _scatter(grid, pf, pf.sd),
@@ -259,10 +266,10 @@ def points_csv_rows(pf: PosteriorField, level: float = 0.95,
     pct = round(level * 100)
     header = ["event", "s1", "s2", "x_sim", "post_mean", "post_sd",
               f"lo{pct}", f"hi{pct}"]
-    rows = []
-    for i in range(len(pf.mean)):
-        rows.append([pf.event,
-                     f"{pf.locations[i, 0]:.6g}", f"{pf.locations[i, 1]:.6g}",
-                     f"{pf.intensities[i]:.6g}", f"{pf.mean[i]:.6g}",
-                     f"{pf.sd[i]:.6g}", f"{lo[i]:.6g}", f"{hi[i]:.6g}"])
+    table = np.column_stack([pf.locations, pf.intensities, pf.mean, pf.sd,
+                             lo, hi])
+    # one %-format per row on plain Python floats; "%.6g" has no comma
+    fmt = ",".join(["%.6g"] * table.shape[1])
+    rows = [[pf.event, *(fmt % tuple(row)).split(",")]
+            for row in table.tolist()]
     return header, rows

@@ -379,9 +379,10 @@ def interpolate_field_reference(grid, s1: float, s2: float) -> float:
 
 
 def save_grid_reference(grid, path, header_comments=()):
-    """FIELDGRID v1 writer testing each cell with ``np.isnan`` and
-    formatting the numpy scalar, as ``dataio.save_grid`` did before it
-    formatted plain Python floats."""
+    """FIELDGRID v1 writer formatting each cell with its own f-string, as
+    ``dataio.save_grid`` did before it formatted a grid with one row
+    template (which itself wrote what formatting each numpy scalar
+    after an ``np.isnan`` test wrote)."""
     import io
 
     buf = io.StringIO()
@@ -392,9 +393,11 @@ def save_grid_reference(grid, path, header_comments=()):
     buf.write(f"dims {grid.n1} {grid.n2}\n")
     buf.write(f"origin {grid.origin[0]:.6g} {grid.origin[1]:.6g}\n")
     buf.write(f"spacing {grid.spacing[0]:.6g} {grid.spacing[1]:.6g}\n")
-    for i in range(grid.n1):
-        row = ("NA" if np.isnan(v) else f"{v:.6g}" for v in grid.values[i])
-        buf.write(" ".join(row) + "\n")
+    # plain Python floats: numpy scalar calls per cell cost more than
+    # the formatting itself; v != v is the NaN test
+    for row in grid.values.tolist():
+        buf.write(" ".join(["NA" if v != v else f"{v:.6g}" for v in row])
+                  + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
 

@@ -247,7 +247,7 @@ def test_grid_rejects_bad_tokens(tmp_path):
 def test_save_grid_matches_reference_writer(tmp_path):
     rng = np.random.default_rng(17)
     special = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-300, 1e300, -1e300,
-               -1e-300, 5e-324, -2.5, -17.125, 1.7976931348623157e308,
+               -1e-300, 5e-324, 1e-310, -1e-310, -np.nan, -2.5, -17.125, 1.7976931348623157e308,
                # ties at the 6th and 7th significant digit, exact in
                # binary and not
                123456.5, 1234565.0, 1234575.0, 0.1234565, 1.234565,
@@ -263,6 +263,15 @@ def test_save_grid_matches_reference_writer(tmp_path):
     new = (tmp_path / "new.fg").read_bytes()
     assert new == (tmp_path / "old.fg").read_bytes()
     assert b"\nNA 0 -0 inf -inf 1e-300 1e+300 -1e+300 " in new
+    assert b" 1e-310 -1e-310 NA " in new
+    # a single cell, missing or not, with and without comments
+    for value, comments in ((np.nan, ()), (-0.0, ("one",)), (1e-310, ())):
+        g = GridField(event="e", n1=1, n2=1, origin=(0.0, 0.0),
+                      spacing=(1.0, 1.0), values=np.array([[value]]))
+        save_grid(g, tmp_path / "new.fg", header_comments=comments)
+        save_grid_reference(g, tmp_path / "old.fg", header_comments=comments)
+        assert ((tmp_path / "new.fg").read_bytes()
+                == (tmp_path / "old.fg").read_bytes())
 
 
 def test_grid_values_match_reference_parser():

@@ -516,10 +516,15 @@ def test_prediction_terms_are_computed_on_first_use():
     rng = np.random.default_rng(63)
     ds = make_dataset(rng, 10, event="lazy")
     ef = event_statistics(ds, THETA, default_prior())
-    assert {"weights", "Ainv_H", "Bstar"}.isdisjoint(vars(ef))
+    assert {"weights", "Ainv_H", "Linv_T", "Bstar"}.isdisjoint(vars(ef))
     assert (ef.event, ef.K) == ("lazy", 10)
     w = ef.weights
     assert ef.weights is w and "Bstar" not in vars(ef)
+    # (L^{-1})^T, laid out for a row-major GEMM
+    linv_t = ef.Linv_T
+    assert linv_t.flags.c_contiguous and "Linv_T" in vars(ef)
+    np.testing.assert_allclose(ef.A_factor.lower.T @ linv_t, np.eye(10),
+                               rtol=0, atol=1e-12)
 
 
 def test_artifact_errors(tmp_path):

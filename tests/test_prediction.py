@@ -2,13 +2,14 @@
 brute-force joint-Gaussian conditioning."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from fieldcal import prediction
 from fieldcal.covariance import Hyperparameters
-from fieldcal.dataio import EventDataset, GridField
+from fieldcal.dataio import EventDataset, GridField, load_grid, save_grid
 from fieldcal.inference import (
     ModelFit,
     PriorSpec,
@@ -243,10 +244,19 @@ def test_blocked_prediction_matches_dense_reference(monkeypatch):
         return block(theta, loc_a, x_a, loc_b, x_b)
 
     whole = predict_grid(mf, "ev", grid)
-    monkeypatch.setattr(prediction, "BLOCK_TARGETS", 7)
     monkeypatch.setattr(prediction, "correlation_block", counted)
+    # the rows per block come from the kernel's lag budget, in whole
+    # groups of 8: one block is at most one kernel chunk of lags
+    for k, n, want in ((200, 200, [160, 40]), (12, 2731, [2728, 3])):
+        big = make_fit(np.random.default_rng(k), k=k)
+        posterior_field(big, "ev", (np.zeros((n, 2)), np.full(n, 20.0)))
+        assert rows == want
+        rows.clear()
+    monkeypatch.setattr(prediction, "_CHUNK", 8 * ef.K)
     pf = predict_grid(mf, "ev", grid)
-    assert rows == [7] * 7 + [2]
+    assert rows == [8] * 6 + [3]
+    # the blocking does not touch the mean, not even its last bit
+    np.testing.assert_array_equal(pf.mean, whole.mean)
 
     want_mean, want_var = conditional_reference(
         mf, "ev", grid.cell_centers()[valid], flat[valid], add_noise=False)
@@ -257,16 +267,46 @@ def test_blocked_prediction_matches_dense_reference(monkeypatch):
         np.testing.assert_array_equal(got.cell_index, valid)
         np.testing.assert_array_equal(got.extrapolated, flat[valid] <= 15.0)
 
-    # measurement space, through the point API, blocks of 7 as well
+    # measurement space, through the point API, blocks of 8 as well
     rows.clear()
     tloc = rng.uniform(-2, 14, size=(16, 2))
     tx = rng.uniform(10, 40, size=16)
     y = predictive_measurements(mf, "ev", (tloc, tx), full_cov=False)
-    assert rows == [7, 7, 2] and y.covariance is None
+    assert rows == [8, 8] and y.covariance is None
     want_mean, want_var = conditional_reference(mf, "ev", tloc, tx,
                                                 add_noise=True)
     np.testing.assert_allclose(y.mean, want_mean, rtol=1e-12, atol=0)
     np.testing.assert_allclose(y.variance, want_var, rtol=0,
+                               atol=1e-12 * ef.sigma_hat2)
+
+
+def test_blocked_prediction_on_an_ill_conditioned_fit():
+    # tolerances fixed before measuring: with no nugget and stations far
+    # closer than the ranges, A has cond >= 1e10, and the quadratic term
+    # through one GEMM against L^{-1} must still give the variance of the
+    # dense triangular solves within 1e-12 * sigma_hat2; the mean within
+    # 1e-12 relative
+    rng = np.random.default_rng(149)
+    theta = Hyperparameters(omega=0.2, lambda2=0.0, phi1=10.0, phi2=10.0,
+                            nu1=2.5, nu2=2.5, phiX=40.0)
+    prior = PriorSpec(b=[0.0, 1.0, 0.0], B=np.diag([0.5, 0.5, 0.5]),
+                      a=1.0, d=2.0, sigmaY=2.0)
+    x = rng.uniform(16, 40, size=80)
+    ds = EventDataset("ev", rng.uniform(0, 4, size=(80, 2)), x,
+                      0.9 * x + rng.normal(0, 3, size=80), threshold=15.0)
+    ef = event_statistics(ds, theta, prior)
+    mf = ModelFit(theta=theta, events=(ef,), prior=prior, log_posterior=0.0)
+    lower = ef.A_factor.lower
+    assert np.linalg.cond(lower @ lower.T) >= 1e10
+    grid = GridField(event="ev", n1=30, n2=40, origin=(0.0, 0.0),
+                     spacing=(0.15, 0.1),
+                     values=rng.uniform(16, 40, size=(30, 40)))
+    assert grid.values.size > 2 * (prediction._CHUNK // ef.K)  # 3 blocks
+    pf = predict_grid(mf, "ev", grid)
+    want_mean, want_var = conditional_reference(
+        mf, "ev", grid.cell_centers(), grid.values.ravel(), add_noise=False)
+    np.testing.assert_allclose(pf.mean, want_mean, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(pf.variance, want_var, rtol=0,
                                atol=1e-12 * ef.sigma_hat2)
 
 
@@ -367,6 +407,31 @@ def test_export_grids_layout():
                                      np.array([20.0])))
     with pytest.raises(ValueError):
         export_grids(pts, grid)
+
+
+def test_ratio_is_missing_where_the_quotient_overflows(tmp_path):
+    # a subnormal simulated value is legal input, but the mean over it
+    # overflows: the ratio grid must mark it missing, without a warning,
+    # so that it reloads; finite ratios stay the plain quotient
+    rng = np.random.default_rng(151)
+    mf = make_fit(rng)
+    vals = np.array([[20.0, 1e-310], [-1e-310, 30.0]])
+    grid = GridField(event="ev", n1=2, n2=2, origin=(1, 1), spacing=(2, 2),
+                     values=vals)
+    pf = predict_grid(mf, "ev", grid)
+    # so mean / 1e-310 overflows
+    assert np.all(np.abs(pf.mean[1:3]) > 1e-310 * np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = export_grids(pf, grid)
+    ratio = out["ratio"].values
+    assert np.isnan(ratio[0, 1]) and np.isnan(ratio[1, 0])
+    live = np.array([[True, False], [False, True]])
+    assert np.array_equal(ratio[live], out["mean"].values[live] / vals[live])
+    save_grid(out["ratio"], tmp_path / "ratio.fg")
+    back = load_grid(tmp_path / "ratio.fg").values
+    np.testing.assert_array_equal(np.isnan(back), ~live)
+    np.testing.assert_allclose(back[live], ratio[live], rtol=1e-5)
 
 
 def test_intervals():
