@@ -402,9 +402,9 @@ def format_fit(fit_result: ModelFit) -> str:
         lines.append(f"event {ef.K} {_fmt(ds.threshold)} {ef.event}")
         lines.append("beta " + " ".join(_fmt(v) for v in ef.beta_hat))
         lines.append(f"sigma2 {_fmt(ef.sigma_hat2)}")
-        for k in range(ef.K):
-            lines.append(" ".join(_fmt(v) for v in (
-                ds.locations[k, 0], ds.locations[k, 1], ds.x[k], ds.y[k])))
+        # one format for the block: "%.17g" of a float is _fmt's text
+        rows = np.column_stack((ds.locations, ds.x, ds.y)).ravel().tolist()
+        lines.append("\n".join(["%.17g %.17g %.17g %.17g"] * ef.K) % tuple(rows))
     lines.append("end")
     return "\n".join(lines) + "\n"
 

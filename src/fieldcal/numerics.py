@@ -4,6 +4,13 @@
 Nelder-Mead driver, and reference-distribution helpers (standard
 normal, Student-t, F-Snedecor upper tail). Everything is a pure
 function of its arguments and safe to call concurrently.
+
+The factorizations and solves call LAPACK (``dpotrf``, ``dpstrf``,
+``dtrtrs``) directly: at the ~10^2-station size of an event, scipy's
+per-call wrappers and repeated input scans cost as much as the LAPACK
+work. Every input is still checked, each matrix in one read for scale
+and finiteness and one for symmetry. scipy's optimizer is imported
+only when :func:`nelder_mead` runs.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, optimize, special
+from scipy import special
+from scipy.linalg import lapack
 
 
 class NumericsError(Exception):
@@ -42,18 +50,65 @@ JITTER_RTOL = 1e-8
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` as a float matrix, checked square, finite and symmetric to
+    ``SYMMETRY_RTOL`` of its largest magnitude, in two reads."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name}: expected a square matrix, got shape {a.shape}")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale > 0.0 and np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * scale:
-        raise ValueError(f"{name}: input matrix is not symmetric")
+    if not a.size:
+        return a
+    # max and min give the scale and, as NaN or inf, any non-finite entry
+    hi, lo = float(a.max()), float(a.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ValueError("array must not contain infs or NaNs")
+    # a - a^T is antisymmetric: its max is its largest magnitude
+    scale = max(hi, -lo)
+    if scale > 0.0:
+        asym = float((a - a.T).max())
+        if asym > SYMMETRY_RTOL * scale:
+            raise ValueError(f"{name}: input matrix is not symmetric")
+        if asym == 0.0 and a.flags.c_contiguous:
+            # exactly symmetric: a^T holds the same values in LAPACK's
+            # column order, which it copies without a transpose
+            return a.T
     return a
+
+
+def _solve_triangular(t, b, lower: int, trans: int = 0):
+    """``dtrtrs``: solve T x = b (``trans=1``: T^T x = b) for a triangular
+    T, which LAPACK reads without a copy when it is Fortran-ordered."""
+    b = np.asarray(b)
+    if b.shape[:1] != t.shape[:1]:
+        raise ValueError(f"shapes of a {t.shape} and b {b.shape} are incompatible")
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if not b.size:
+        return np.zeros(b.shape)
+    x, info = lapack.dtrtrs(t, b, lower=lower, trans=trans)
+    if info > 0:
+        raise NotPositiveDefinite(f"triangular factor is singular at {info}")
+    if info < 0:
+        raise ValueError(f"dtrtrs: illegal value in argument {-info}")
+    return x
+
+
+def _potrf(a):
+    """``dpotrf`` lower factor with its upper triangle zeroed, or None when
+    a leading minor is not positive definite."""
+    lower, info = lapack.dpotrf(a, lower=1, clean=1)
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    return None if info else lower
 
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular Cholesky factor with its log-determinant."""
+    """Lower-triangular Cholesky factor with its log-determinant.
+
+    ``lower`` is the Fortran-ordered array ``dpotrf`` returns, so the
+    ``dtrtrs`` solves (and ``dtrtri``) read it in place. A right-hand
+    side that is not finite raises ``ValueError``.
+    """
 
     lower: np.ndarray
     logdet: float
@@ -64,11 +119,11 @@ class CholeskyFactor:
 
     def solve_lower(self, b):
         """Solve L w = b (one triangular solve), so b^T A^{-1} b = w^T w."""
-        return linalg.solve_triangular(self.lower, b, lower=True)
+        return _solve_triangular(self.lower, b, lower=1)
 
     def solve_upper(self, w):
         """Solve L^T x = w, so x = A^{-1} b for w from :meth:`solve_lower`."""
-        return linalg.solve_triangular(self.lower.T, w, lower=False)
+        return _solve_triangular(self.lower, w, lower=1, trans=1)
 
 
 def cholesky(a) -> CholeskyFactor:
@@ -76,21 +131,20 @@ def cholesky(a) -> CholeskyFactor:
 
     If the plain factorization fails, a single additive jitter of
     ``1e-8 * trace(a)/n`` is tried before raising
-    :class:`NotPositiveDefinite`.
+    :class:`NotPositiveDefinite`. A non-finite or non-symmetric input
+    raises ``ValueError``.
     """
     a = _require_symmetric(a, "cholesky")
-    try:
-        lower = linalg.cholesky(a, lower=True)
-    except linalg.LinAlgError:
+    lower = _potrf(a)
+    if lower is None:
         n = a.shape[0]
         jitter = JITTER_RTOL * np.trace(a) / n
         if jitter <= 0.0:
-            raise NotPositiveDefinite("matrix is not positive definite") from None
-        try:
-            lower = linalg.cholesky(a + jitter * np.eye(n), lower=True)
-        except linalg.LinAlgError:
+            raise NotPositiveDefinite("matrix is not positive definite")
+        lower = _potrf(a + jitter * np.eye(n))
+        if lower is None:
             raise NotPositiveDefinite(
-                "matrix is not positive definite (even after jitter)") from None
+                "matrix is not positive definite (even after jitter)")
     logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
     return CholeskyFactor(lower=lower, logdet=logdet)
 
@@ -113,7 +167,7 @@ class PivotedCholeskyFactor:
         if self.rank < self.upper.shape[0]:
             raise NotPSD("matrix is rank deficient; cannot decorrelate")
         rp = np.asarray(r, dtype=float)[self.permutation]
-        return linalg.solve_triangular(self.upper.T, rp, lower=True)
+        return _solve_triangular(self.upper.T, rp, lower=1)
 
 
 def pivoted_cholesky(a) -> PivotedCholeskyFactor:
@@ -122,7 +176,9 @@ def pivoted_cholesky(a) -> PivotedCholeskyFactor:
     Pivots greedily on the largest remaining diagonal entry, so the pivot
     sequence is non-increasing. Stops early on rank deficiency (residual
     pivots below ``1e-10 * max diag``); raises :class:`NotPSD` if a
-    residual diagonal entry falls below ``-1e-8 * max diag``.
+    residual diagonal entry falls below ``-1e-8 * max diag``. A
+    non-finite or non-symmetric input raises ``ValueError``, as in
+    :func:`cholesky`.
 
     The factorization is LAPACK ``dpstrf`` (blocked, level 3). Residual
     diagonals only shrink and a negative one is never chosen as a pivot,
@@ -141,7 +197,7 @@ def pivoted_cholesky(a) -> PivotedCholeskyFactor:
         # numerically zero matrix (or empty): rank 0, identity order
         return PivotedCholeskyFactor(permutation=np.arange(n),
                                      upper=np.zeros((n, n)), rank=0)
-    c, piv, rank, info = linalg.lapack.dpstrf(a, tol=rank_tol, lower=0)
+    c, piv, rank, info = lapack.dpstrf(a, tol=rank_tol, lower=0)
     if info < 0:
         raise ValueError(f"dpstrf: illegal value in argument {-info}")
     perm = (piv - 1).astype(np.intp)
@@ -203,6 +259,8 @@ def nelder_mead(objective, x0, opts: OptimizerOptions) -> SearchResult:
     value also serves the first vertex of the first simplex. The result is
     the first lowest point evaluated, which scipy's can miss out of budget.
     """
+    from scipy import optimize  # only a fit searches; keep it off import
+
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     f0 = float(objective(x0))
     if not math.isfinite(f0):

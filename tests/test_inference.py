@@ -26,6 +26,7 @@ from fieldcal.inference import (
     default_theta0,
     event_statistics,
     fit,
+    format_fit,
     load_fit,
     log_posterior_theta,
     read_fit,
@@ -496,6 +497,23 @@ def test_artifact_round_trip(tmp_path):
     commented.write_text("# tool x\n# config abc\n" + path.read_text())
     back2 = load_fit(commented)
     assert back2.theta == mf.theta
+
+
+def test_artifact_data_rows_are_full_precision_text():
+    # each station row is its four values as "%.17g", space-separated
+    rng = np.random.default_rng(67)
+    ds = make_dataset(rng, 9, event="rows")
+    ds = EventDataset(ds.event, ds.locations, ds.x,
+                      np.concatenate([[-0.0, 1e-300, 2.0 ** 60], ds.y[3:]]),
+                      threshold=15.0)
+    ef = event_statistics(ds, THETA, default_prior())
+    text = format_fit(ModelFit(theta=THETA, events=(ef,),
+                               prior=default_prior(), log_posterior=-1.0))
+    lines = text.splitlines()
+    start = lines.index(f"sigma2 {ef.sigma_hat2:.17g}") + 1
+    want = [" ".join(f"{float(v):.17g}" for v in (*ds.locations[k], ds.x[k], ds.y[k]))
+            for k in range(9)]
+    assert lines[start:start + 9] == want and lines[start + 9] == "end"
 
 
 def test_reloaded_log_posterior_is_the_objective(tmp_path):

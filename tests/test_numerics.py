@@ -4,10 +4,16 @@ come from closed forms, an independent quadrature oracle, or bisection
 against exact CDFs."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from scipy import linalg
+
+import fieldcal
 
 from fieldcal.covariance import _matern_kv, _matern_values
 from fieldcal.numerics import (
@@ -142,6 +148,63 @@ def test_cholesky_jitter_rescues_singular_psd():
     a = np.ones((3, 3))  # rank one, plain factorization fails
     f = cholesky(a)
     np.testing.assert_allclose(f.lower @ f.lower.T, a, atol=1e-7)
+
+
+def test_cholesky_and_solves_match_scipy_bit_for_bit():
+    # the direct dpotrf / dtrtrs calls are the ones scipy's wrappers make
+    rng = np.random.default_rng(5)
+    for n in (3, 200):
+        m = rng.normal(size=(n, n))
+        a = m @ m.T + n * np.eye(n)
+        f = cholesky(a)
+        want = linalg.cholesky(a, lower=True)
+        np.testing.assert_array_equal(f.lower, want)
+        assert f.lower.flags.f_contiguous
+        assert f.logdet == 2.0 * float(np.sum(np.log(np.diag(want))))
+        for b in (rng.normal(size=n), rng.normal(size=(n, 4)),
+                  np.asfortranarray(rng.normal(size=(n, 3)))):
+            w = linalg.solve_triangular(want, b, lower=True)
+            np.testing.assert_array_equal(f.solve_lower(b), w)
+            x = linalg.solve_triangular(want.T, w, lower=False)
+            np.testing.assert_array_equal(f.solve_upper(w), x)
+            np.testing.assert_array_equal(f.solve(b), x)
+
+
+def test_non_finite_input_raises_value_error():
+    f = cholesky(np.diag([4.0, 9.0, 1.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        for i, j in ((1, 1), (0, 2)):
+            a = np.eye(3)
+            a[i, j] = bad
+            for factor in (cholesky, pivoted_cholesky):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    factor(a)
+        b = np.array([1.0, bad, 2.0])
+        for solve in (f.solve, f.solve_lower, f.solve_upper):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(b)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(np.column_stack([b, b]))
+    with pytest.raises(ValueError, match="incompatible"):
+        f.solve(np.ones(4))
+
+
+def test_cholesky_empty_matrix():
+    f = cholesky(np.zeros((0, 0)))
+    assert f.lower.shape == (0, 0) and f.logdet == 0.0
+    assert f.solve(np.zeros(0)).shape == (0,)
+    assert f.solve(np.zeros((0, 2))).shape == (0, 2)
+
+
+def test_import_leaves_the_optimizer_out():
+    src = os.path.dirname(os.path.dirname(fieldcal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, fieldcal, fieldcal.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_pivoted_identity_and_diagonal():
