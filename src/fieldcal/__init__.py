@@ -6,9 +6,8 @@ __version__ = "1.0.0"
 from .covariance import (Hyperparameters, correlation_block,
                          correlation_matrix_arrays, rotate_array,
                          smooth_correlation)
-from .dataio import (EventDataset, GridField, StationSet, interpolate_field,
-                     load_grid, load_stations, pair_and_threshold, rmse,
-                     save_grid)
+from .dataio import (EventDataset, GridField, StationSet, load_grid,
+                     load_stations, pair_and_threshold, rmse, save_grid)
 from .diagnostics import (ValidationReport, VariogramTable, semivariogram,
                           validation_report)
 from .inference import (EventFit, ModelFit, PriorSpec, default_prior,
@@ -16,9 +15,7 @@ from .inference import (EventFit, ModelFit, PriorSpec, default_prior,
                         save_fit)
 from .numerics import (CholeskyFactor, OptimizerOptions,
                        PivotedCholeskyFactor, SearchResult, cholesky,
-                       nelder_mead,
-                       pivoted_cholesky, std_normal_quantile,
-                       student_t_quantile)
+                       nelder_mead, pivoted_cholesky)
 from .prediction import (PosteriorField, posterior_field, predict_grid,
                          predictive_measurements, sample_field)
 
@@ -26,7 +23,7 @@ __all__ = [
     "__version__",
     "Hyperparameters", "correlation_block", "correlation_matrix_arrays",
     "rotate_array", "smooth_correlation",
-    "EventDataset", "GridField", "StationSet", "interpolate_field",
+    "EventDataset", "GridField", "StationSet",
     "load_grid", "load_stations", "pair_and_threshold", "rmse", "save_grid",
     "ValidationReport", "VariogramTable", "semivariogram",
     "validation_report",
@@ -34,7 +31,6 @@ __all__ = [
     "event_statistics", "fit", "load_fit", "log_posterior_theta", "save_fit",
     "CholeskyFactor", "OptimizerOptions", "PivotedCholeskyFactor",
     "SearchResult", "cholesky", "nelder_mead", "pivoted_cholesky",
-    "std_normal_quantile", "student_t_quantile",
     "PosteriorField", "posterior_field", "predict_grid",
     "predictive_measurements", "sample_field",
 ]

@@ -45,14 +45,6 @@ class ShortFile(DataError):
     pass
 
 
-class OutOfDomain(DataError):
-    pass
-
-
-class MissingNeighbor(DataError):
-    pass
-
-
 class EmptyDataset(DataError):
     pass
 
@@ -67,9 +59,6 @@ class StationSet:
     s1: np.ndarray
     s2: np.ndarray
     gust: np.ndarray
-
-    def events(self):
-        return list(dict.fromkeys(self.event.tolist()))
 
     def __len__(self):
         return len(self.event)
@@ -361,22 +350,6 @@ def _bilinear(grid: GridField, s1, s2):
     w = np.stack([(1 - fu) * (1 - fv), (1 - fu) * fv, fu * (1 - fv), fu * fv],
                  axis=1)
     return (*_live_dot(w, corners), np.column_stack([out1, out2]))
-
-
-def interpolate_field(grid: GridField, s1: float, s2: float) -> float:
-    """Bilinear interpolation of the grid at one point, on cell centers.
-
-    The hull is closed: points exactly on the boundary are inside.
-    Raises :class:`OutOfDomain` outside the hull and
-    :class:`MissingNeighbor` when a surrounding cell is missing.
-    """
-    x, gap, outside = _bilinear(grid, [s1], [s2])
-    for name, v, out in zip(("s1", "s2"), (s1, s2), outside[0]):
-        if out:
-            raise OutOfDomain(f"{name}={v} outside grid hull")
-    if gap[0]:
-        raise MissingNeighbor(f"missing grid cell near ({s1}, {s2})")
-    return float(x[0])
 
 
 def pair_and_threshold(stations: StationSet, grid: GridField, u: float) -> EventDataset:

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.spatial.distance import pdist
 
 from .covariance import smooth_correlation
 from .dataio import EventDataset
 from .inference import ModelFit
-from .numerics import f_sf, pivoted_cholesky, std_normal_quantile
+from .numerics import pivoted_cholesky
 from .prediction import predictive_measurements
 
 BIN_VARIABLES = ("h1", "h2", "delta_intensity")
@@ -181,14 +182,16 @@ def validation_report(fit: ModelFit,
     epc = factor.decorrelate(resid)
     n = len(resid)
     d_mh = float(epc @ epc) / n
-    theo = np.array([std_normal_quantile((i - 0.5) / n) for i in range(1, n + 1)])
+    theo = special.ndtri((np.arange(1, n + 1) - 0.5) / n)
+    # the F(n, df2) upper tail in the complementary form, accurate far out
+    p = float(special.betainc(0.5 * df2, 0.5 * n, df2 / (n * d_mh + df2)))
     return ValidationReport(mean=pf.mean, standardized_errors=std,
                             pivoted_errors=epc,
                             pivot_indices=factor.permutation,
                             qq_pairs=np.column_stack([theo, np.sort(epc)]),
                             mahalanobis=d_mh,
                             mahalanobis_raw=float(np.sum(std ** 2)),
-                            mahalanobis_pvalue=f_sf(d_mh, n, df2),
+                            mahalanobis_pvalue=p,
                             df_pair=(n, df2))
 
 

@@ -279,9 +279,6 @@ class ModelFit:
                 return ef
         raise UnknownEvent(event_id)
 
-    def event_ids(self):
-        return [ef.event for ef in self.events]
-
 
 def _wrap_angle(w: float) -> float:
     # the likelihood is pi-periodic in omega, so fold into (-pi/2, pi/2]

@@ -1,9 +1,8 @@
 """Shared numerical kernels.
 
-(Pivoted) Cholesky factorization with triangular solves, a restartable
-Nelder-Mead driver, and reference-distribution helpers (standard
-normal, Student-t, F-Snedecor upper tail). Everything is a pure
-function of its arguments and safe to call concurrently.
+(Pivoted) Cholesky factorization with triangular solves and a
+restartable Nelder-Mead driver. Everything is a pure function of its
+arguments and safe to call concurrently.
 
 The factorizations and solves call LAPACK (``dpotrf``, ``dpstrf``,
 ``dtrtrs``) directly: at the ~10^2-station size of an event, scipy's
@@ -19,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 from scipy.linalg import lapack
 
 
@@ -305,29 +303,3 @@ def nelder_mead(objective, x0, opts: OptimizerOptions) -> SearchResult:
         exhausted |= res.status == 1
     return SearchResult(x=best[1], fun=best[0], evaluations=evaluations,
                         budget_exhausted=bool(exhausted))
-
-
-def f_sf(x, d1: int, d2: int) -> float:
-    """Upper-tail probability of F(d1, d2), computed in the complementary
-    form for accuracy far in the tail."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError("f_sf: degrees of freedom must be >= 1")
-    if x < 0.0:
-        raise ValueError("f_sf: x must be >= 0")
-    return float(special.betainc(0.5 * d2, 0.5 * d1, d2 / (d1 * x + d2)))
-
-
-def std_normal_quantile(p: float) -> float:
-    """Quantile of the standard normal distribution."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("std_normal_quantile: p must lie in (0, 1)")
-    return float(special.ndtri(p))
-
-
-def student_t_quantile(p: float, df: float) -> float:
-    """Quantile of the Student-t distribution with ``df`` degrees of freedom."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("student_t_quantile: p must lie in (0, 1)")
-    if df < 1:
-        raise ValueError("student_t_quantile: df must be >= 1")
-    return float(special.stdtrit(df, p))

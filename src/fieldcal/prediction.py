@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 from scipy.spatial.distance import squareform
 
 from .covariance import (_CHUNK, correlation_block, rotate_array,
                          smooth_correlation)
 from .dataio import GridField
 from .inference import ModelFit, basis_matrix
-from .numerics import pivoted_cholesky, std_normal_quantile, student_t_quantile
+from .numerics import pivoted_cholesky
 
 # degrees of freedom above which Gaussian quantiles replace Student-t
 GAUSSIAN_DF = 30
@@ -81,9 +82,9 @@ class PosteriorField:
             law = "t" if self.df <= GAUSSIAN_DF else "gauss"
         p = 0.5 * (1.0 + level)
         if law == "gauss":
-            zq = std_normal_quantile(p)
+            zq = special.ndtri(p)
         elif law == "t":
-            zq = student_t_quantile(p, max(self.df, 1))
+            zq = special.stdtrit(max(self.df, 1), p)
         else:
             raise ValueError(f"unknown interval law {law!r}")
         half = zq * self.sd

@@ -346,11 +346,18 @@ def grid_values_reference(tokens, line):
     return vals
 
 
-def interpolate_field_reference(grid, s1: float, s2: float) -> float:
-    """Bilinear interpolation of one point by a masked 4-term dot, as
-    ``dataio.interpolate_field`` did before it wrapped the vector path."""
-    from fieldcal.dataio import MissingNeighbor, OutOfDomain
+class OutOfDomain(Exception):
+    """A point beyond the grid's closed hull."""
 
+
+class MissingNeighbor(Exception):
+    """A missing grid cell carries weight at a point."""
+
+
+def interpolate_field_reference(grid, s1: float, s2: float) -> float:
+    """Bilinear interpolation of one point by a masked 4-term dot, the
+    scalar path that preceded ``dataio._bilinear``. Raises
+    :class:`OutOfDomain` (s1 checked first) or :class:`MissingNeighbor`."""
     rel_tol = 1e-9
 
     def axis_index(v, origin, spacing, n, name):
@@ -412,7 +419,9 @@ def validation_reference(fit, validation):
     a third through ``cholesky``. Returns (standardized errors, pivoted
     errors, pivot indices, D, p-value).
     """
-    from fieldcal.numerics import cholesky, f_sf, pivoted_cholesky
+    from scipy import special
+
+    from fieldcal.numerics import cholesky, pivoted_cholesky
     from fieldcal.prediction import predictive_measurements
 
     pf = predictive_measurements(fit, validation.event,
@@ -440,7 +449,9 @@ def validation_reference(fit, validation):
     resid = validation.y - pf.mean
     n_tilde = len(resid)
     d_mh = float(resid @ cholesky(pf.covariance).solve(resid)) / n_tilde
-    p = f_sf(d_mh, n_tilde, df2)
+    # the F(n_tilde, df2) upper tail as a regularized incomplete beta
+    p = float(special.betainc(0.5 * df2, 0.5 * n_tilde,
+                              df2 / (n_tilde * d_mh + df2)))
     return std, epc, piv, d_mh, p
 
 

@@ -77,7 +77,7 @@ def test_fit_writes_artifact_and_summary(corpus_dir, fitted):
     assert "# config " in body and "# theta " in body
     result = load_fit(fitted)
     assert np.isfinite(result.log_posterior)
-    assert sorted(result.event_ids()) == ["ev00", "ev01"]
+    assert sorted(ef.event for ef in result.events) == ["ev00", "ev01"]
 
     summary = (corpus_dir / "fit_summary.csv").read_text().splitlines()
     header = [l for l in summary if not l.startswith("#")][0]
@@ -337,7 +337,7 @@ def test_event_id_with_inner_whitespace_round_trips(tmp_path):
                       f"output_dir = {tmp_path}\n", encoding="utf-8")
     assert cli.main(["fit", "-c", str(config)]) == 0
     fit_path = tmp_path / "fit.out"
-    assert load_fit(fit_path).event_ids() == [event]
+    assert [ef.event for ef in load_fit(fit_path).events] == [event]
     points = tmp_path / "targets.csv"
     points.write_text("s1,s2,x\n5,5,25\n6,7,30\n", encoding="utf-8")
     assert cli.main(["predict", "-f", str(fit_path), "-e", event,

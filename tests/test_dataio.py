@@ -13,12 +13,9 @@ from fieldcal.dataio import (
     EventDataset,
     GridField,
     HeaderMismatch,
-    MissingNeighbor,
-    OutOfDomain,
     ParseError,
     ShortFile,
     holdout_split,
-    interpolate_field,
     load_grid,
     load_points,
     load_stations,
@@ -26,9 +23,9 @@ from fieldcal.dataio import (
     rmse,
     save_grid,
 )
-from fieldcal.dataio import _grid_values, _live_dot
-from _oracles import (grid_values_reference, interpolate_field_reference,
-                      save_grid_reference)
+from fieldcal.dataio import _bilinear, _grid_values, _live_dot
+from _oracles import (MissingNeighbor, OutOfDomain, grid_values_reference,
+                      interpolate_field_reference, save_grid_reference)
 
 STATION_HEADER = "event,station,s1,s2,gust\n"
 
@@ -44,6 +41,14 @@ def grid_2x2(event="ev1", values=((1.0, 2.0), (3.0, 4.0)),
                      values=np.array(values, dtype=float))
 
 
+def value_at(grid, s1, s2):
+    """``_bilinear`` at one point, which must lie inside the hull and clear
+    of missing cells."""
+    x, gap, outside = _bilinear(grid, [s1], [s2])
+    assert not gap[0] and not outside[0].any()
+    return float(x[0])
+
+
 def test_load_stations_valid(tmp_path):
     p = write(tmp_path / "st.csv", STATION_HEADER
               + "ev1,A,0.0,0.0,21.5\n"
@@ -51,7 +56,7 @@ def test_load_stations_valid(tmp_path):
               + "ev2,A,4.0,4.0,30.25\n")
     ss = load_stations(p)
     assert len(ss) == 3
-    assert ss.events() == ["ev1", "ev2"]
+    assert ss.event.tolist() == ["ev1", "ev1", "ev2"]
     ev1 = ss.event == "ev1"
     assert ss.station[ev1].tolist() == ["A", "B"]
     assert ss.gust[ev1][0] == 21.5
@@ -106,7 +111,7 @@ def test_load_stations_empty_file(tmp_path):
         load_stations(write(tmp_path / "st.csv", ""))
     # a header alone is an empty set, paired with nothing
     ss = load_stations(write(tmp_path / "st.csv", STATION_HEADER))
-    assert len(ss) == 0 and ss.events() == []
+    assert len(ss) == 0 and ss.event.tolist() == []
     with pytest.raises(EmptyDataset):
         pair_and_threshold(ss, grid_2x2(), 15.0)
 
@@ -183,9 +188,9 @@ def test_grid_golden_echo(tmp_path):
     g = load_grid(write(tmp_path / "g.fg", text))
     np.testing.assert_array_equal(g.values, [[1.0, 2.0], [3.0, 4.0]])
     # values[i, j] sits at (origin1 + i*d1, origin2 + j*d2)
-    assert interpolate_field(g, 0.0, 0.0) == 1.0
-    assert interpolate_field(g, 0.0, 2.0) == 2.0
-    assert interpolate_field(g, 1.0, 0.0) == 3.0
+    assert value_at(g, 0.0, 0.0) == 1.0
+    assert value_at(g, 0.0, 2.0) == 2.0
+    assert value_at(g, 1.0, 0.0) == 3.0
 
 
 def test_grid_leading_comments_ok(tmp_path):
@@ -323,16 +328,16 @@ def test_cell_centers_order():
 def test_interpolate_cell_centers_exact():
     g = grid_2x2(values=[[1.0, 2.0], [3.0, 5.0]])
     for (i, j), want in np.ndenumerate(g.values):
-        assert interpolate_field(g, float(i), float(j)) == want
+        assert value_at(g, float(i), float(j)) == want
 
 
 def test_interpolate_centroid_and_bilinear():
     g = grid_2x2(values=[[1.0, 2.0], [3.0, 5.0]])
-    assert interpolate_field(g, 0.5, 0.5) == pytest.approx(11.0 / 4.0)
+    assert value_at(g, 0.5, 0.5) == pytest.approx(11.0 / 4.0)
     # (0.25, 0.75): weights (1-u)(1-v), (1-u)v, u(1-v), uv
     want = (0.75 * 0.25 * 1.0 + 0.75 * 0.75 * 2.0
             + 0.25 * 0.25 * 3.0 + 0.25 * 0.75 * 5.0)
-    assert interpolate_field(g, 0.25, 0.75) == pytest.approx(want, rel=1e-14)
+    assert value_at(g, 0.25, 0.75) == pytest.approx(want, rel=1e-14)
 
 
 def test_interpolate_affine_exact():
@@ -348,40 +353,35 @@ def test_interpolate_affine_exact():
     for _ in range(30):
         a = float(rng.uniform(o[0], o[0] + (n1 - 1) * d[0]))
         b = float(rng.uniform(o[1], o[1] + (n2 - 1) * d[1]))
-        assert interpolate_field(g, a, b) == pytest.approx(
+        assert value_at(g, a, b) == pytest.approx(
             4.0 + 1.5 * a - 0.75 * b, rel=1e-12)
 
 
 def test_interpolate_boundary_closed_and_outside():
     g = grid_2x2()
     # corners and edges are inside
-    assert interpolate_field(g, 1.0, 1.0) == 4.0
-    assert interpolate_field(g, 1.0, 0.5) == pytest.approx(3.5)
-    with pytest.raises(OutOfDomain):
-        interpolate_field(g, 1.001, 0.5)
-    with pytest.raises(OutOfDomain):
-        interpolate_field(g, -0.001, 0.5)
-    with pytest.raises(OutOfDomain):
-        interpolate_field(g, 0.5, 1.2)
+    assert value_at(g, 1.0, 1.0) == 4.0
+    assert value_at(g, 1.0, 0.5) == pytest.approx(3.5)
+    _, _, outside = _bilinear(g, [1.001, -0.001, 0.5], [0.5, 0.5, 1.2])
+    assert outside.tolist() == [[True, False], [True, False], [False, True]]
 
 
-def _same(got, want):
-    """Equal bit for bit, or the same exception and message."""
-    assert type(got) is type(want)
-    if isinstance(want, Exception):
-        assert str(got) == str(want)
-    else:
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-
-def _both(grid, a, b):
-    out = []
-    for f in (interpolate_field, interpolate_field_reference):
-        try:
-            out.append(f(grid, a, b))
-        except (OutOfDomain, MissingNeighbor) as exc:
-            out.append(exc)
-    return out
+def _same_as_reference(grid, a, b):
+    """``_bilinear`` at one point against the scalar oracle: the oracle's
+    value bit for bit, or the flag that matches the oracle's exception
+    (which checks s1 before s2, and the hull before the neighbours)."""
+    x, gap, outside = _bilinear(grid, [a], [b])
+    out1, out2 = outside[0].tolist()
+    try:
+        want = interpolate_field_reference(grid, a, b)
+    except OutOfDomain as exc:
+        assert out1 if str(exc).startswith("s1=") else (out2 and not out1)
+        return
+    except MissingNeighbor:
+        assert gap[0] and not (out1 or out2)
+        return
+    assert not (gap[0] or out1 or out2)
+    assert x[0].tobytes() == np.float64(want).tobytes()
 
 
 def test_live_dot_matches_masked_dot_on_every_live_pattern():
@@ -431,15 +431,15 @@ def test_interpolate_matches_scalar_reference_bitwise():
                        spacing=(1.0, 1.0), values=vals)
         for grid, points in ((g, pts), (g0, edge)):
             for a, b in points:
-                _same(*_both(grid, float(a), float(b)))
+                _same_as_reference(grid, float(a), float(b))
 
 
 def test_interpolate_missing_neighbor():
     g = grid_2x2(values=((1.0, np.nan), (3.0, 4.0)))
-    with pytest.raises(MissingNeighbor):
-        interpolate_field(g, 0.5, 0.5)
+    _, gap, outside = _bilinear(g, [0.5], [0.5])
+    assert gap[0] and not outside.any()
     # far corner only touches finite cells
-    assert interpolate_field(g, 1.0, 0.0) == 3.0
+    assert value_at(g, 1.0, 0.0) == 3.0
 
 
 def test_pair_matches_scalar_reference_bitwise(tmp_path):
@@ -547,7 +547,7 @@ def test_pair_counting_oracle(tmp_path):
     want = 0
     for s1, s2 in zip(ss.s1.tolist(), ss.s2.tolist()):
         if 0.0 <= s1 <= 5.0 and 0.0 <= s2 <= 5.0:
-            if interpolate_field(g, s1, s2) > u:
+            if interpolate_field_reference(g, s1, s2) > u:
                 want += 1
     ds = pair_and_threshold(ss, g, u)
     assert len(ds) == want

@@ -27,7 +27,10 @@ from fieldcal.inference import ModelFit, PriorSpec, event_statistics, log_poster
 from fieldcal.numerics import cholesky, pivoted_cholesky
 from fieldcal.prediction import posterior_field, predictive_measurements
 
-from _oracles import validation_reference
+from _oracles import f_cdf_quadrature, validation_reference
+
+# Frozen oracle output (quadrature, computed once and pinned).
+F_CDF_25_4_20 = 0.9248533703647283    # f_cdf_quadrature(2.5, 4, 20)
 
 THETA = Hyperparameters(omega=0.15, lambda2=0.5, phi1=3.0, phi2=2.2,
                         nu1=1.2, nu2=0.9, phiX=10.0)
@@ -56,6 +59,22 @@ def split(rng, k_train, k_hold):
     ds = gp_dataset(rng, k_train + k_hold)
     idx = rng.permutation(k_train + k_hold)
     return ds.subset(np.sort(idx[:k_train])), ds.subset(np.sort(idx[k_train:]))
+
+
+def holdouts_at(rng, df2, n, ds):
+    """A fit with K - q = ``df2`` and, for each D in ``ds``, ``n`` held-out
+    pairs whose measurements give the Mahalanobis statistic D up to
+    rounding: one residual direction, rescaled."""
+    train, hold = split(rng, df2 + PRIOR.q, n)
+    mf = fit_of(train)
+    pf = predictive_measurements(mf, "ev", (hold.locations, hold.x),
+                                 full_cov=True)
+    factor = cholesky(pf.covariance)
+    r = factor.lower @ rng.standard_normal(n)
+    r /= math.sqrt(float(r @ factor.solve(r)) / n)  # D = 1
+    return mf, [EventDataset("ev", hold.locations, hold.x,
+                             pf.mean + math.sqrt(d) * r, threshold=15.0)
+                for d in ds]
 
 
 def test_standardized_errors_zero_at_predictive_mean():
@@ -185,6 +204,47 @@ def test_validation_report_bundle():
                 dict(good, mean=np.zeros(2))):
         with pytest.raises(ValueError):
             ValidationReport(**bad)
+
+
+def test_mahalanobis_pvalue_basics():
+    # at D = 0 the F(n, K - q) upper tail is exactly 1
+    mf, (hold,) = holdouts_at(np.random.default_rng(401), 7, 3, [0.0])
+    rep = validation_report(mf, hold)
+    assert rep.mahalanobis == 0.0 and rep.mahalanobis_pvalue == 1.0
+    # F(d, d) has median exactly 1
+    for d in (1, 4, 11):
+        mf, (hold,) = holdouts_at(np.random.default_rng(403 + d), d, d, [1.0])
+        rep = validation_report(mf, hold)
+        assert rep.df_pair == (d, d)
+        assert rep.mahalanobis_pvalue == pytest.approx(0.5, abs=1e-12)
+    mf, (hold,) = holdouts_at(np.random.default_rng(419), 20, 4, [2.5])
+    assert 1.0 - validation_report(mf, hold).mahalanobis_pvalue == (
+        pytest.approx(F_CDF_25_4_20, rel=1e-12))
+
+
+def test_mahalanobis_pvalue_against_live_quadrature():
+    for seed, (d, n, df2) in enumerate(((0.8, 1, 5), (1.7, 8, 3),
+                                        (3.0, 30, 147))):
+        mf, (hold,) = holdouts_at(np.random.default_rng(421 + seed), df2, n,
+                                  [d])
+        rep = validation_report(mf, hold)
+        assert rep.df_pair == (n, df2)
+        assert rep.mahalanobis == pytest.approx(d, rel=1e-12)
+        want = f_cdf_quadrature(rep.mahalanobis, n, df2)
+        assert 1.0 - rep.mahalanobis_pvalue == pytest.approx(want, rel=1e-9)
+
+
+def test_mahalanobis_pvalue_monotone_and_complement():
+    ds = np.linspace(0.0, 8.0, 30)
+    mf, holds = holdouts_at(np.random.default_rng(431), 9, 5, ds)
+    ps = [validation_report(mf, hold).mahalanobis_pvalue for hold in holds]
+    assert all(b <= a for a, b in zip(ps, ps[1:]))
+    mf, holds = holdouts_at(np.random.default_rng(433), 9, 5,
+                            [0.3, 1.0, 2.7, 15.0])
+    for hold in holds:
+        rep = validation_report(mf, hold)
+        assert (f_cdf_quadrature(rep.mahalanobis, 5, 9)
+                + rep.mahalanobis_pvalue == pytest.approx(1.0, abs=1e-13))
 
 
 def test_validation_report_matches_reference():

@@ -435,7 +435,7 @@ def test_fit_improves_and_is_deterministic():
     prior = default_prior()
     opts = OptimizerOptions(max_evals=150, simplex_tolerance=1e-4, seed=3)
     mf = fit(datasets, prior, opts)
-    assert set(mf.event_ids()) == {"ev0", "ev1"}
+    assert {ef.event for ef in mf.events} == {"ev0", "ev1"}
     lp0 = log_posterior_theta(datasets, default_theta0(datasets), prior)
     assert mf.log_posterior >= lp0 - 1e-12
     assert mf.log_posterior == pytest.approx(
@@ -483,9 +483,9 @@ def test_artifact_round_trip(tmp_path):
     back = load_fit(path)
     assert back.theta == mf.theta  # 17 significant digits round-trip floats
     assert back.log_posterior == pytest.approx(mf.log_posterior, abs=1e-9)
-    assert back.event_ids() == ["storm one", "B2"]
-    for ev in mf.event_ids():
-        a, b = mf.event(ev), back.event(ev)
+    assert [ef.event for ef in back.events] == ["storm one", "B2"]
+    for a in mf.events:
+        b = back.event(a.event)
         np.testing.assert_allclose(b.beta_hat, a.beta_hat, rtol=1e-12)
         assert b.sigma_hat2 == pytest.approx(a.sigma_hat2, rel=1e-12)
         np.testing.assert_array_equal(b.dataset.locations,
@@ -614,12 +614,13 @@ def test_partial_load_builds_and_verifies_only_the_requested_events(
 
     monkeypatch.setattr(inf, "event_statistics", counting)
     part = load_fit(path, events=["B2"])
-    assert built == ["B2"] and part.event_ids() == ["B2"]
+    assert built == ["B2"] and [ef.event for ef in part.events] == ["B2"]
     # a partial load reports the stored log posterior; a full load
     # recomputes it from every event
     assert part.log_posterior == -123.5
     full = load_fit(path)
-    assert built == ["B2", "A1", "B2"] and full.event_ids() == ["A1", "B2"]
+    assert built == ["B2", "A1", "B2"]
+    assert [ef.event for ef in full.events] == ["A1", "B2"]
     assert full.log_posterior == log_posterior_theta(
         [ef.dataset for ef in full.events], THETA, default_prior())
     np.testing.assert_array_equal(part.event("B2").beta_hat,
@@ -637,7 +638,7 @@ def test_partial_load_builds_and_verifies_only_the_requested_events(
         load_fit(bad, events=["A1"])
     with pytest.raises(ArtifactError):
         load_fit(bad)
-    assert load_fit(bad, events=["B2"]).event_ids() == ["B2"]
+    assert [ef.event for ef in load_fit(bad, events=["B2"]).events] == ["B2"]
 
     # every block is still parsed: format errors anywhere fail any load
     for text in ("\n".join(lines[:-3]) + "\n",
@@ -672,7 +673,8 @@ def test_artifact_event_id_keeps_inner_whitespace(tmp_path):
     save_fit(ModelFit(theta=THETA, events=(ef,), prior=prior,
                       log_posterior=0.0), path)
     assert [ds.event for ds, _, _ in read_fit(path).events] == ["storm  one"]
-    assert load_fit(path, events=["storm  one"]).event_ids() == ["storm  one"]
+    part = load_fit(path, events=["storm  one"])
+    assert [ef.event for ef in part.events] == ["storm  one"]
     lines = path.read_text().splitlines()
     at = next(i for i, ln in enumerate(lines) if ln.startswith("event "))
     for head in ("event 8", "event 8 15"):

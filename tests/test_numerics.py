@@ -1,7 +1,6 @@
 """Numerical kernels: Bessel K (through the Matern kernel's kv path),
-Cholesky variants, Nelder-Mead, reference distributions. Expected values
-come from closed forms, an independent quadrature oracle, or bisection
-against exact CDFs."""
+Cholesky variants, Nelder-Mead. Expected values come from closed forms
+or an independent quadrature oracle."""
 
 import math
 import os
@@ -23,19 +22,13 @@ from fieldcal.numerics import (
     NotPSD,
     OptimizerOptions,
     cholesky,
-    f_sf,
     nelder_mead,
     pivoted_cholesky,
-    std_normal_quantile,
-    student_t_quantile,
 )
-from _oracles import bessel_k_quadrature, f_cdf_quadrature, pivoted_cholesky_reference
+from _oracles import bessel_k_quadrature, pivoted_cholesky_reference
 
-# Frozen oracle outputs (quadrature / bisection, computed once and pinned).
+# Frozen oracle output (quadrature, computed once and pinned).
 K_03_07 = 0.6895624897569751          # bessel_k_quadrature(0.3, 0.7)
-F_CDF_25_4_20 = 0.9248533703647283    # f_cdf_quadrature(2.5, 4, 20)
-Z_975 = 1.9599639845400536            # normal_quantile_bisect(0.975)
-T_975_12 = 2.178812829667259          # t_quantile_bisect(0.975, 12)
 
 
 def half_integer_k(m, x):
@@ -432,75 +425,6 @@ def test_optimizer_options_validation():
         OptimizerOptions(simplex_tolerance=0.0)
     with pytest.raises(ValueError):
         OptimizerOptions(restarts=0)
-
-
-def f_cdf(x, d1, d2):
-    """F(d1, d2) CDF as the complement of the library's upper tail."""
-    return 1.0 - f_sf(x, d1, d2)
-
-
-def test_f_cdf_basics():
-    assert f_cdf(0.0, 3, 7) == 0.0
-    # F(d, d) has median exactly 1
-    for d in (1, 4, 11):
-        assert f_cdf(1.0, d, d) == pytest.approx(0.5, abs=1e-12)
-    assert f_cdf(2.5, 4, 20) == pytest.approx(F_CDF_25_4_20, rel=1e-12)
-
-
-def test_f_cdf_against_live_quadrature():
-    for x, d1, d2 in ((0.8, 1, 5), (1.7, 8, 3), (3.0, 30, 147)):
-        want = f_cdf_quadrature(x, d1, d2)
-        assert f_cdf(x, d1, d2) == pytest.approx(want, rel=1e-9)
-
-
-def test_f_cdf_monotone_and_complement():
-    xs = np.linspace(0.0, 8.0, 30)
-    vals = [f_cdf(float(x), 5, 9) for x in xs]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    for x in (0.3, 1.0, 2.7, 15.0):
-        assert (f_cdf_quadrature(x, 5, 9) + f_sf(x, 5, 9)
-                == pytest.approx(1.0, abs=1e-13))
-
-
-def test_f_domain_errors():
-    with pytest.raises(ValueError):
-        f_sf(-0.1, 2, 3)
-    with pytest.raises(ValueError):
-        f_sf(1.0, 0, 3)
-    with pytest.raises(ValueError):
-        f_sf(1.0, 2, 0)
-
-
-def test_normal_quantile():
-    assert std_normal_quantile(0.5) == 0.0
-    assert std_normal_quantile(0.975) == pytest.approx(Z_975, abs=1e-12)
-    # round trip through the exact CDF
-    for p in (0.001, 0.1, 0.5, 0.77, 0.999):
-        q = std_normal_quantile(p)
-        cdf = 0.5 * (1.0 + math.erf(q / math.sqrt(2.0)))
-        assert cdf == pytest.approx(p, abs=1e-12)
-    assert std_normal_quantile(0.025) == pytest.approx(-Z_975, abs=1e-12)
-    with pytest.raises(ValueError):
-        std_normal_quantile(0.0)
-    with pytest.raises(ValueError):
-        std_normal_quantile(1.0)
-
-
-def test_t_quantile():
-    # abs 1e-10 covers the bisection oracle's own quadrature resolution
-    assert student_t_quantile(0.975, 12) == pytest.approx(T_975_12, abs=1e-10)
-    assert student_t_quantile(0.5, 7) == pytest.approx(0.0, abs=1e-12)
-    # symmetry and heavy tails relative to the normal
-    for df in (3, 12, 40):
-        q = student_t_quantile(0.9, df)
-        assert student_t_quantile(0.1, df) == pytest.approx(-q, abs=1e-12)
-        assert q > std_normal_quantile(0.9)
-    # large df converges to the normal quantile
-    assert student_t_quantile(0.975, 1e6) == pytest.approx(Z_975, abs=1e-4)
-    with pytest.raises(ValueError):
-        student_t_quantile(1.2, 5)
-    with pytest.raises(ValueError):
-        student_t_quantile(0.5, 0.5)
 
 
 def test_no_warnings_in_normal_range():
