@@ -1,6 +1,7 @@
 """Numerical kernels: Bessel K (through the Matern kernel's kv path),
-Cholesky variants, Nelder-Mead. Expected values come from closed forms
-or an independent quadrature oracle."""
+Cholesky variants, Nelder-Mead, the interval quantiles. Expected values
+come from closed forms, an independent quadrature oracle, or bisection
+against exact CDFs."""
 
 import math
 import os
@@ -25,10 +26,13 @@ from fieldcal.numerics import (
     nelder_mead,
     pivoted_cholesky,
 )
+from fieldcal.prediction import PosteriorField
 from _oracles import bessel_k_quadrature, pivoted_cholesky_reference
 
-# Frozen oracle output (quadrature, computed once and pinned).
+# Frozen oracle outputs (quadrature / bisection, computed once and pinned).
 K_03_07 = 0.6895624897569751          # bessel_k_quadrature(0.3, 0.7)
+Z_975 = 1.9599639845400536            # normal_quantile_bisect(0.975)
+T_975_12 = 2.178812829667259          # t_quantile_bisect(0.975, 12)
 
 
 def half_integer_k(m, x):
@@ -425,6 +429,46 @@ def test_optimizer_options_validation():
         OptimizerOptions(simplex_tolerance=0.0)
     with pytest.raises(ValueError):
         OptimizerOptions(restarts=0)
+
+
+def interval_quantile(level, law, df=20):
+    """The quantile PosteriorField.interval used for a central ``level``
+    interval: its half-width over sd, after checking that the interval is
+    symmetric about the mean."""
+    pf = PosteriorField(event="e", locations=np.zeros((1, 2)),
+                        intensities=np.array([20.0]),
+                        mean=np.array([10.0]), variance=np.array([4.0]),
+                        covariance=None, df=df, space="actual_field")
+    lo, hi = pf.interval(level, law=law)
+    assert 10.0 - lo[0] == pytest.approx(hi[0] - 10.0, abs=1e-12)
+    return (hi[0] - 10.0) / 2.0
+
+
+def test_normal_quantile():
+    assert interval_quantile(0.95, "gauss") == pytest.approx(Z_975, abs=1e-12)
+    # round trip through the exact CDF; level = 2p - 1 puts p at the upper end
+    for p in (0.5 + 1e-9, 0.6, 0.77, 0.9, 0.999):
+        q = interval_quantile(2.0 * p - 1.0, "gauss")
+        cdf = 0.5 * (1.0 + math.erf(q / math.sqrt(2.0)))
+        assert cdf == pytest.approx(p, abs=1e-12)
+    for level in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            interval_quantile(level, "gauss")
+
+
+def test_t_quantile():
+    # abs 1e-10 covers the bisection oracle's own quadrature resolution
+    assert interval_quantile(0.95, "t", df=12) == pytest.approx(T_975_12,
+                                                                abs=1e-10)
+    # heavy tails relative to the normal
+    for df in (3, 12, 40):
+        assert (interval_quantile(0.8, "t", df=df)
+                > interval_quantile(0.8, "gauss"))
+    # large df converges to the normal quantile
+    assert interval_quantile(0.95, "t", df=10 ** 6) == pytest.approx(
+        Z_975, abs=1e-4)
+    with pytest.raises(ValueError):
+        interval_quantile(1.2, "t", df=5)
 
 
 def test_no_warnings_in_normal_range():
