@@ -27,10 +27,13 @@ from fieldcal.inference import ModelFit, PriorSpec, event_statistics, log_poster
 from fieldcal.numerics import cholesky, pivoted_cholesky
 from fieldcal.prediction import posterior_field, predictive_measurements
 
-from _oracles import f_cdf_quadrature, validation_reference
+from _oracles import (f_cdf_quadrature, normal_quantile_bisect,
+                      validation_reference)
 
 # Frozen oracle output (quadrature, computed once and pinned).
 F_CDF_25_4_20 = 0.9248533703647283    # f_cdf_quadrature(2.5, 4, 20)
+Z_975 = 1.9599639845400536            # normal_quantile_bisect(0.975)
+Z_001 = -3.090232306167821            # normal_quantile_bisect(0.001)
 
 THETA = Hyperparameters(omega=0.15, lambda2=0.5, phi1=3.0, phi2=2.2,
                         nu1=1.2, nu2=0.9, phiX=10.0)
@@ -204,6 +207,27 @@ def test_validation_report_bundle():
                 dict(good, mean=np.zeros(2))):
         with pytest.raises(ValueError):
             ValidationReport(**bad)
+
+
+def test_validation_qq_quantiles():
+    # the theoretical column is the normal quantile at (i - 0.5) / n: lower
+    # tail, median and upper tail against the bisection oracle
+    first = {}
+    for seed, n in ((221, 1), (223, 5), (227, 20), (229, 500)):
+        train, hold = split(np.random.default_rng(seed), 16, n)
+        theo = validation_report(fit_of(train), hold).qq_pairs[:, 0]
+        p = (np.arange(1, n + 1) - 0.5) / n
+        np.testing.assert_allclose(
+            theo, [normal_quantile_bisect(pi) for pi in p], rtol=0, atol=1e-12)
+        # round trip through the exact CDF
+        cdf = [0.5 * (1.0 + math.erf(q / math.sqrt(2.0))) for q in theo]
+        np.testing.assert_allclose(cdf, p, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(theo, -theo[::-1], rtol=0, atol=1e-12)
+        if n % 2:
+            assert theo[n // 2] == 0.0
+        first[n] = theo[0]
+    assert first[20] == pytest.approx(-Z_975, abs=1e-12)             # p = 0.025
+    assert first[500] == pytest.approx(Z_001, abs=1e-12)             # p = 0.001
 
 
 def test_mahalanobis_pvalue_basics():
