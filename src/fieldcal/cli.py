@@ -187,8 +187,13 @@ def _write_csv(path, comments, header, rows):
 
 def _g6_rows(table):
     """A float table as CSV rows of one preformatted cell: ``{:.6g}`` text."""
-    fmt = ",".join(["%.6g"] * table.shape[1])
-    return [(fmt % tuple(row),) for row in table.tolist()]
+    n, k = table.shape
+    if not n:
+        return []
+    # one %-format over the whole table on plain Python floats
+    fmt = "\n".join([",".join(["%.6g"] * k)] * n)
+    text = fmt % tuple(table.ravel().tolist())
+    return [(row,) for row in text.split("\n")]
 
 
 def _hash_parts(*parts) -> str:

@@ -165,7 +165,7 @@ class PivotedCholeskyFactor:
         if self.rank < self.upper.shape[0]:
             raise NotPSD("matrix is rank deficient; cannot decorrelate")
         rp = np.asarray(r, dtype=float)[self.permutation]
-        return _solve_triangular(self.upper.T, rp, lower=1)
+        return _solve_triangular(self.upper, rp, lower=0, trans=1)
 
 
 def pivoted_cholesky(a) -> PivotedCholeskyFactor:
@@ -195,12 +195,15 @@ def pivoted_cholesky(a) -> PivotedCholeskyFactor:
         # numerically zero matrix (or empty): rank 0, identity order
         return PivotedCholeskyFactor(permutation=np.arange(n),
                                      upper=np.zeros((n, n)), rank=0)
-    c, piv, rank, info = lapack.dpstrf(a, tol=rank_tol, lower=0)
+    upper, piv, rank, info = lapack.dpstrf(a, tol=rank_tol, lower=0)
     if info < 0:
         raise ValueError(f"dpstrf: illegal value in argument {-info}")
     perm = (piv - 1).astype(np.intp)
-    upper = np.triu(c)
-    upper[rank:] = 0.0
+    # dpstrf leaves A's strict lower triangle and the unfactored trailing
+    # block in its Fortran-ordered output: zero them in place, each
+    # column's contiguous tail below the diagonal (or below row rank)
+    for j in range(n):
+        upper[min(j + 1, rank):, j] = 0.0
     if rank < n:
         residual = diag[perm[rank:]] - np.sum(upper[:rank, rank:] ** 2, axis=0)
         if np.min(residual) < neg_tol:

@@ -6,6 +6,10 @@ is finite), so far from the data predictions revert to the regression
 mean with an inflated basis-term variance instead of collapsing.
 Diagonal-only posteriors run over the targets in blocks of one Matern
 kernel chunk of lags, so their working set stays in cache at any size.
+A full covariance is built and updated in one m x m buffer: the prior
+correlation goes into its upper triangle, the conditioning terms are two
+BLAS rank-k updates (``dsyrk``) of that triangle, and the triangle is
+then mirrored, so the result is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
-from scipy.spatial.distance import squareform
+from scipy.linalg import blas
 
 from .covariance import (_CHUNK, correlation_block, rotate_array,
                          smooth_correlation)
@@ -24,8 +28,8 @@ from .numerics import pivoted_cholesky
 
 # degrees of freedom above which Gaussian quantiles replace Student-t
 GAUSSIAN_DF = 30
-# most targets a full-covariance posterior may have: it builds several
-# dense n x n matrices (about 190 MiB each at the limit)
+# most targets a full-covariance posterior may have: it builds one dense
+# n x n matrix (190 MiB at the limit, where its peak is 1.55 of them)
 FULL_COV_MAX_TARGETS = 5000
 
 
@@ -91,6 +95,41 @@ class PosteriorField:
         return self.mean - half, self.mean + half
 
 
+def _prior_upper(theta, loc_t, x) -> np.ndarray:
+    """m x m buffer holding the targets' smooth correlation on its strict
+    upper triangle and 1 on its diagonal; the lower triangle is unset.
+    The condensed pairs are freed on return, before the conditioning."""
+    condensed = smooth_correlation(theta, loc_t, x)
+    m = len(x)
+    cov = np.empty((m, m))
+    k = 0
+    for i in range(m - 1):
+        cov[i, i + 1:] = condensed[k:k + m - 1 - i]
+        k += m - 1 - i
+    np.fill_diagonal(cov, 1.0)
+    return cov
+
+
+def _syrk_upper(cov, alpha, a_t):
+    """cov += alpha a_t^T a_t on the upper triangle of the C-ordered cov,
+    in place: BLAS ``dsyrk`` on cov^T, whose lower triangle that is."""
+    if cov.size:
+        blas.dsyrk(alpha, a_t, beta=1.0, c=cov.T, trans=1, lower=1,
+                   overwrite_c=1)
+
+
+def _mirror_upper(cov):
+    """Copy the upper triangle of a square matrix onto its lower triangle,
+    a band of 64 rows at a time, so it is exactly symmetric."""
+    m, rows = len(cov), 64
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        diag = cov[lo:hi, lo:hi]
+        iu = np.triu_indices(hi - lo, 1)
+        diag.T[iu] = diag[iu]
+        cov[hi:, lo:hi] = cov[lo:hi, hi:].T
+
+
 def _conditional(fit: ModelFit, event: str, targets, full_cov: bool,
                  add_noise: bool) -> PosteriorField:
     ef = fit.event(event)
@@ -123,16 +162,16 @@ def _conditional(fit: ModelFit, event: str, targets, full_cov: bool,
 
     if full_cov:
         t_mat, mean, r = block(slice(None))
-        ainv_tt = ef.A_factor.solve(t_mat.T)
-        # each pair once, updated in place: one m x m temporary fewer
-        cov = squareform(smooth_correlation(theta, loc_t, x))
-        np.fill_diagonal(cov, 1.0)
-        cov -= t_mat @ ainv_tt
-        cov += r @ ef.Bstar @ r.T
+        cov = _prior_upper(theta, loc_t, x)
+        # C - T A^{-1} T^T + r B* r^T on the upper triangle, in place:
+        # T A^{-1} T^T = w w^T with w = T L^{-T}, and r B* r^T = v v^T with
+        # v^T = L_B^{-1} r^T, L_B the factor of (B*)^{-1}
+        _syrk_upper(cov, -1.0, (t_mat @ ef.Linv_T).T)
+        _syrk_upper(cov, 1.0, ef.Bstar_inv_factor.solve_lower(r.T))
+        _mirror_upper(cov)
         cov[np.diag_indices_from(cov)] += nugget_z
         cov *= ef.sigma_hat2
         cov[np.diag_indices_from(cov)] += noise
-        cov = 0.5 * (cov + cov.T)
         var = np.diag(cov).copy()
     else:
         # targets do not couple in the diagonal, so each block of rows is

@@ -250,14 +250,38 @@ def test_predict_points_interval_laws(corpus_dir, fitted, tmp_path):
     assert np.all(wt > wg)
 
 
+def _g6_rows_per_row(table):
+    fmt = ",".join(["%.6g"] * table.shape[1])
+    return [(fmt % tuple(row),) for row in table.tolist()]
+
+
 def test_predict_full_cov_writes_matrix(corpus_dir, fitted, tmp_path):
+    points = corpus_dir / "targets.csv"
     rc = cli.main(["predict", "-f", str(fitted), "-e", "ev00",
-                   "--points", str(corpus_dir / "targets.csv"),
-                   "--full-cov", "-o", str(tmp_path)])
+                   "--points", str(points), "--full-cov", "-o", str(tmp_path)])
     assert rc == 0
     rows = [l for l in open(tmp_path / "predict_ev00_cov.csv")
             if l.strip() and not l.startswith("#")]
     assert len(rows) == 1 + 8   # header plus one row per target
+    # the per-row text of the posterior covariance, read back symmetric
+    body = [l.rstrip("\n") for l in rows[1:]]
+    pf = posterior_field(load_fit(str(fitted)), "ev00", load_points(str(points)),
+                         full_cov=True)
+    assert [(row,) for row in body] == _g6_rows_per_row(pf.covariance)
+    cov = np.array([[float(v) for v in row.split(",")] for row in body])
+    assert np.array_equal(cov, cov.T)
+
+
+def test_g6_rows_match_the_per_row_format():
+    rng = np.random.default_rng(17)
+    table = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-8, 8, (6, 5))
+    table[0] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    table[1, :2] = [1e300, -1e300]
+    rows = cli._g6_rows(table)
+    assert rows == _g6_rows_per_row(table)
+    assert rows[0] == ("nan,inf,-inf,-0,4.94066e-324",)
+    assert cli._g6_rows(np.zeros((0, 5))) == []
+    assert cli._g6_rows(table[:1]) == _g6_rows_per_row(table[:1])
 
 
 def test_predict_grid_full_cov_over_limit_is_user_error(corpus_dir, fitted,

@@ -260,6 +260,8 @@ def test_pivoted_decorrelate_round_trip():
         m = rng.normal(size=(n, n))
         a = m @ m.T + 0.3 * np.eye(n)
         f = pivoted_cholesky(a)
+        # dpstrf's Fortran order, which dtrtrs reads without a copy
+        assert f.upper.flags.f_contiguous
         g = np.zeros((n, f.upper.shape[0]))
         g[f.permutation, :] = f.upper.T
         r = rng.normal(size=n)

@@ -308,11 +308,22 @@ def test_blocked_prediction_on_an_ill_conditioned_fit():
     np.testing.assert_allclose(pf.mean, want_mean, rtol=1e-12, atol=0)
     np.testing.assert_allclose(pf.variance, want_var, rtol=0,
                                atol=1e-12 * ef.sigma_hat2)
+    # the full covariance on the same fit, to the same bound: its entries
+    # fall to about 5e-5 sigma_hat2, so the bound is on the prior's scale
+    loc, x = grid.cell_centers()[:300], grid.values.ravel()[:300]
+    for conditional, noise in ((posterior_field, False),
+                               (predictive_measurements, True)):
+        got = conditional(mf, "ev", (loc, x), full_cov=True).covariance
+        want = full_covariance_reference(mf, "ev", loc, x, add_noise=noise)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * ef.sigma_hat2)
 
 
 def test_full_covariance_matches_the_cross_block_construction():
-    # the prior block from condensed pairs must not change a single bit,
-    # with coincident records and with a single target
+    # the one-buffer SYRK construction against the cross-block GEMM one,
+    # with coincident records and with a single target: within 1e-12 of
+    # the covariance's scale, exactly symmetric, and the variance its
+    # diagonal bit for bit
     rng = np.random.default_rng(139)
     mf = make_fit(rng, k=30)
     tloc = rng.uniform(-2, 14, size=(40, 2))
@@ -321,9 +332,51 @@ def test_full_covariance_matches_the_cross_block_construction():
     for loc, x in ((tloc, tx), (tloc[:1], tx[:1])):
         for conditional, noise in ((posterior_field, False),
                                    (predictive_measurements, True)):
-            got = conditional(mf, "ev", (loc, x), full_cov=True).covariance
+            pf = conditional(mf, "ev", (loc, x), full_cov=True)
+            got = pf.covariance
             want = full_covariance_reference(mf, "ev", loc, x, add_noise=noise)
-            assert np.array_equal(got, want)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(got, got.T)
+            assert np.array_equal(pf.variance, np.diag(got))
+
+
+def test_zero_targets_give_an_empty_full_posterior():
+    rng = np.random.default_rng(157)
+    mf = make_fit(rng)
+    targets = (np.zeros((0, 2)), np.zeros(0))
+    for conditional in (posterior_field, predictive_measurements):
+        for full_cov in (False, True):
+            pf = conditional(mf, "ev", targets, full_cov=full_cov)
+            assert pf.mean.shape == pf.variance.shape == (0,)
+            if full_cov:
+                assert pf.covariance.shape == (0, 0)
+                assert sample_field(pf, 3, seed=1).shape == (3, 0)
+
+
+def test_full_covariance_and_draws_hold_one_matrix():
+    # tracemalloc peaks at m = 3000, K = 200, in m x m matrices: the
+    # covariance is one buffer updated in place (the condensed prior block
+    # is alive while it is filled), and sample_field's pivoted factor is
+    # dpstrf's own output with its lower triangle zeroed in place
+    m = 3000
+    rng = np.random.default_rng(151)
+    mf = make_fit(rng, k=200)
+    loc = rng.uniform(0, 12, size=(m, 2))
+    x = rng.uniform(16, 40, size=m)
+    posterior_field(mf, "ev", (loc[:5], x[:5]), full_cov=True)  # warm table
+    matrix = m * m * 8
+    tracemalloc.start()
+    try:
+        pf = posterior_field(mf, "ev", (loc, x), full_cov=True)
+        posterior_peak = tracemalloc.get_traced_memory()[1] / matrix
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sample_field(pf, 20, seed=3)
+        sample_peak = (tracemalloc.get_traced_memory()[1] - base) / matrix
+    finally:
+        tracemalloc.stop()
+    assert posterior_peak <= 1.8, f"posterior_field {posterior_peak:.2f} matrices"
+    assert sample_peak <= 1.25, f"sample_field {sample_peak:.2f} matrices"
 
 
 def test_predict_grid_memory_is_bounded_by_the_block():
