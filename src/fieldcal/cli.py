@@ -3,7 +3,9 @@
 Configuration is a flat key=value text file; ``--set key=value`` flags
 override it. Every output file starts with comment headers recording
 the tool version, a 12-hex config hash, and the hyperparameters, so a
-run can be audited from its outputs alone. Exit codes: 0 success,
+run can be audited from its outputs alone. This module owns the output
+CSV format: every table goes through :func:`_write_csv`, floats as
+``%.6g`` and text cells quoted as RFC 4180 asks. Exit codes: 0 success,
 1 internal error, 2 user or data error.
 """
 
@@ -21,18 +23,17 @@ import numpy as np
 
 from . import __version__
 from .covariance import Hyperparameters
-from .dataio import (DataError, EmptyDataset, holdout_split, load_grid,
-                     load_points, load_stations, pair_and_threshold, rmse,
-                     save_grid)
-from .diagnostics import (EmptyBin, semivariogram, validation_report,
-                          variogram_csv_rows)
+from .dataio import (DataError, EmptyDataset, _write_text, holdout_split,
+                     load_grid, load_points, load_stations,
+                     pair_and_threshold, rmse, save_grid)
+from .diagnostics import EmptyBin, semivariogram, validation_report
 from .inference import (ArtifactError, ModelFit, OptimizationFailed,
                         PriorSpec, TooFewObservations, UnknownEvent,
-                        event_statistics, fit as fit_model, format_fit,
-                        load_fit, read_fit)
+                        event_statistics, fit as fit_model, load_fit,
+                        read_fit, save_fit)
 from .numerics import NotPositiveDefinite, NotPSD, OptimizerOptions
-from .prediction import (CovarianceTooLarge, export_grids, points_csv_rows,
-                         posterior_field, predict_grid, sample_field)
+from .prediction import (CovarianceTooLarge, export_grids, posterior_field,
+                         predict_grid, sample_field)
 
 log = logging.getLogger("fieldcal")
 
@@ -171,29 +172,34 @@ def _header(theta: Hyperparameters | None, cfg_hash: str):
     return lines
 
 
-def _write_text(path, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _csv_text(value) -> str:
+    """A text cell, quoted as RFC 4180 asks when it holds a comma, a quote
+    or a line break, so every row reads back with its header's width."""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _write_csv(path, comments, header, rows):
-    out = [f"# {c}" for c in comments]
-    out.append(",".join(header))
-    out.extend(map(",".join, rows))
-    _write_text(path, "\n".join(out) + "\n")
-
-
-def _g6_rows(table):
-    """A float table as CSV rows of one preformatted cell: ``{:.6g}`` text."""
-    n, k = table.shape
-    if not n:
-        return []
-    # one %-format over the whole table on plain Python floats
-    fmt = "\n".join([",".join(["%.6g"] * k)] * n)
-    text = fmt % tuple(table.ravel().tolist())
-    return [(row,) for row in text.split("\n")]
+def _write_csv(path, comments, columns):
+    """Write ``# `` comment lines and a table as CSV, atomically.
+    ``columns`` maps each header name, in order, to its column: a float
+    ndarray is written as ``%.6g``, any other column as text cells."""
+    k = len(columns)
+    n = len(next(iter(columns.values())))
+    cells, fmt = [None] * (n * k), []
+    for j, col in enumerate(columns.values()):
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            fmt.append("%.6g")
+            cells[j::k] = col.tolist()
+        else:
+            fmt.append("%s")
+            cells[j::k] = [_csv_text(v) for v in col]
+    head = "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n"
+    # one %-format over the file, on plain Python values, so no second
+    # copy of its text is made; the head's own % signs are escaped
+    _write_text(path, (head.replace("%", "%%") + (",".join(fmt) + "\n") * n)
+                % tuple(cells))
 
 
 def _hash_parts(*parts) -> str:
@@ -237,24 +243,22 @@ def cmd_fit(args) -> int:
     log.info("%d evaluations, stopped: %s", result.search.evaluations,
              "budget" if result.search.budget_exhausted else "converged")
     artifact = args.output or os.path.join(cfg.output_dir, "fit.out")
-    header = "".join(f"# {line}\n" for line in _header(result.theta, cfg.config_hash))
-    _write_text(artifact, header + format_fit(result))
+    save_fit(result, artifact,
+             header_comments=_header(result.theta, cfg.config_hash))
 
-    rows = []
-    sy2 = cfg.prior.sigmaY ** 2
-    for ef in result.events:
-        ok = result.theta.lambda2 * ef.sigma_hat2 >= sy2
-        rows.append([ef.event, str(ef.K),
-                     " ".join(f"{v:.6g}" for v in ef.beta_hat),
-                     f"{np.sqrt(ef.sigma_hat2):.6g}",
-                     "ok" if ok else "nugget_below_noise"])
+    events, sy2 = result.events, cfg.prior.sigmaY ** 2
     summary = os.path.join(cfg.output_dir, "fit_summary.csv")
     comments = _header(result.theta, cfg.config_hash)
     comments.append(f"log_posterior {result.log_posterior:.10g}")
     if skipped:
         comments.append("skipped_events " + ",".join(skipped))
-    _write_csv(summary, comments,
-               ["event", "K", "beta_hat", "sigma_hat", "nugget_check"], rows)
+    _write_csv(summary, comments, {
+        "event": [ef.event for ef in events],
+        "K": [ef.K for ef in events],
+        "beta_hat": [" ".join(f"{v:.6g}" for v in ef.beta_hat) for ef in events],
+        "sigma_hat": np.sqrt([ef.sigma_hat2 for ef in events]),
+        "nugget_check": ["ok" if result.theta.lambda2 * ef.sigma_hat2 >= sy2
+                         else "nugget_below_noise" for ef in events]})
     log.info("fit written to %s (log posterior %.6g)", artifact,
              result.log_posterior)
     return 0
@@ -274,22 +278,24 @@ def cmd_predict(args) -> int:
         pf = predict_grid(result, args.event, grid, full_cov=args.full_cov)
         for name, gf in export_grids(pf, grid).items():
             path = os.path.join(args.outdir, f"predict_{args.event}_{name}.fg")
-            tmp = f"{path}.tmp"
-            save_grid(gf, tmp, header_comments=comments)
-            os.replace(tmp, path)
+            save_grid(gf, path, header_comments=comments)
         log.info("grid prediction written for event %s", args.event)
     else:
         loc, x = load_points(args.points)
         pf = posterior_field(result, args.event, (loc, x),
                              full_cov=args.full_cov)
-        header, rows = points_csv_rows(pf, law=args.interval)
+        lo, hi = pf.interval(0.95, law=args.interval)
         path = os.path.join(args.outdir, f"predict_{args.event}_points.csv")
-        _write_csv(path, comments, header, rows)
+        _write_csv(path, comments, {
+            "event": [pf.event] * len(x), "s1": pf.locations[:, 0],
+            "s2": pf.locations[:, 1], "x_sim": pf.intensities,
+            "post_mean": pf.mean, "post_sd": pf.sd,
+            "lo95": lo, "hi95": hi})
         log.info("point predictions written to %s", path)
     if args.full_cov:
         path = os.path.join(args.outdir, f"predict_{args.event}_cov.csv")
-        _write_csv(path, comments, [f"c{j}" for j in range(len(pf.mean))],
-                   _g6_rows(pf.covariance))
+        _write_csv(path, comments,
+                   {f"c{j}": col for j, col in enumerate(pf.covariance.T)})
     return 0
 
 
@@ -317,7 +323,7 @@ def cmd_validate(args) -> int:
         paired.append(ds)
     if not paired:
         raise InsufficientStations("no fitted event matched the config grids")
-    summary_rows = []
+    summary = []
     for ds in paired:
         split_seed = cfg.seed + zlib.crc32(ds.event.encode()) % 100000
         train, hold = holdout_split(ds, n_hold, split_seed)
@@ -330,29 +336,26 @@ def cmd_validate(args) -> int:
 
         std_path = os.path.join(cfg.output_dir,
                                 f"validate_{ds.event}_standardized.csv")
-        _write_csv(std_path, comments, ["index", "std_error"],
-                   [[str(i), f"{v:.6g}"]
-                    for i, v in enumerate(report.standardized_errors)])
+        _write_csv(std_path, comments, {
+            "index": range(n_hold), "std_error": report.standardized_errors})
         piv_path = os.path.join(cfg.output_dir,
                                 f"validate_{ds.event}_pivoted.csv")
-        _write_csv(piv_path, comments,
-                   ["pivot_order", "holdout_index", "error",
-                    "qq_theoretical", "qq_observed"],
-                   [[str(k), str(int(report.pivot_indices[k])),
-                     f"{report.pivoted_errors[k]:.6g}",
-                     f"{report.qq_pairs[k, 0]:.6g}",
-                     f"{report.qq_pairs[k, 1]:.6g}"]
-                    for k in range(len(report.pivoted_errors))])
-        summary_rows.append([ds.event, str(n_hold), str(report.df_pair[1]),
-                             f"{report.mahalanobis:.6g}",
-                             f"{report.mahalanobis_raw:.6g}",
-                             f"{report.mahalanobis_pvalue:.6g}",
-                             f"{rmse(hold.y, hold.x):.6g}",
-                             f"{rmse(hold.y, report.mean):.6g}"])
+        _write_csv(piv_path, comments, {
+            "pivot_order": range(n_hold),
+            "holdout_index": report.pivot_indices,
+            "error": report.pivoted_errors,
+            "qq_theoretical": report.qq_pairs[:, 0],
+            "qq_observed": report.qq_pairs[:, 1]})
+        summary.append((ds.event, n_hold, report.df_pair[1],
+                        report.mahalanobis, report.mahalanobis_raw,
+                        report.mahalanobis_pvalue, rmse(hold.y, hold.x),
+                        rmse(hold.y, report.mean)))
+    event, n_holdout, df2, *stats = zip(*summary)
     path = os.path.join(cfg.output_dir, "validate_summary.csv")
-    _write_csv(path, _header(result.theta, cfg.config_hash),
-               ["event", "n_holdout", "df2", "mahalanobis", "raw_sq_sum",
-                "p_value", "rmse_simulated", "rmse_posterior"], summary_rows)
+    _write_csv(path, _header(result.theta, cfg.config_hash), {
+        "event": event, "n_holdout": n_holdout, "df2": df2,
+        **dict(zip(("mahalanobis", "raw_sq_sum", "p_value", "rmse_simulated",
+                    "rmse_posterior"), np.array(stats)))})
     log.info("validation written to %s", path)
     return 0
 
@@ -366,11 +369,14 @@ def cmd_variogram(args) -> int:
                           seed=args.seed)
     run_hash = _artifact_hash(args.fit, "variogram", args.event, args.var,
                               args.bins, args.seed)
-    header, rows = variogram_csv_rows(table)
     path = os.path.join(args.outdir, f"variogram_{args.event}_{args.var}.csv")
     comments = _header(result.theta, run_hash)
     comments.append(f"fraction_inside {table.fraction_inside():.6g}")
-    _write_csv(path, comments, header, rows)
+    _write_csv(path, comments, {
+        "variable": [table.binning_variable] * table.bins,
+        "bin_mid": table.bin_center, "empirical": table.empirical,
+        "model": table.model, "lo": table.lower95, "hi": table.upper95,
+        "count": table.counts})
     log.info("variogram written to %s (%.0f%% of bins inside bounds)",
              path, 100 * table.fraction_inside())
     return 0
@@ -388,11 +394,11 @@ def cmd_simulate(args) -> int:
                               args.n, args.seed)
     comments = _header(result.theta, run_hash)
     comments.append(f"seed {args.seed} n {args.n}")
-    header = ["s1", "s2", "x_sim", "post_mean"] + [
-        f"real_{k + 1}" for k in range(args.n)]
-    table = np.column_stack([pf.locations, pf.intensities, pf.mean, draws.T])
     path = os.path.join(args.outdir, f"simulate_{args.event}.csv")
-    _write_csv(path, comments, header, _g6_rows(table))
+    _write_csv(path, comments, {
+        "s1": pf.locations[:, 0], "s2": pf.locations[:, 1],
+        "x_sim": pf.intensities, "post_mean": pf.mean,
+        **{f"real_{k + 1}": draw for k, draw in enumerate(draws)}})
     log.info("%d realization(s) written to %s", args.n, path)
     return 0
 

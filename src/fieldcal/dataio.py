@@ -1,11 +1,12 @@
 """File ingestion, grid interpolation, and event-dataset assembly.
 
-Station CSVs (event,station,s1,s2,gust) load into a columnar
-:class:`StationSet`, through the row reader target points (s1,s2,x) use
-too. Simulator fields use a line-oriented text format (``FIELDGRID v1``)
-documented at :func:`load_grid`. Pairing interpolates all stations of an
-event in one vectorized bilinear pass. Coordinates are in the grid's own
-rotated coordinate system already; no geographic conversion happens here.
+This module owns the input formats: station CSVs (event,station,s1,s2,
+gust) and target points (s1,s2,x), read by one streaming row reader into
+columns, and simulator fields (``FIELDGRID v1``, see :func:`load_grid`).
+Every file fieldcal writes goes through its atomic :func:`_write_text`.
+Pairing interpolates all stations of an event in one vectorized bilinear
+pass. Coordinates are in the grid's own rotated coordinate system
+already; no geographic conversion happens here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,62 +129,61 @@ class EventDataset:
                             threshold=self.threshold, stations=st)
 
 
-def _read_csv(path, columns, n_text, checks, comments=False):
-    """Rows of a CSV file under the header ``columns`` as ``(text, values)``:
-    the first ``n_text`` fields stripped, one list per column, and the rest
-    read by ``float()`` into an (n, k) array. Blank lines, and with
-    ``comments`` ``#`` lines, are skipped. Rows are checked for width, ids
-    and numbers, then by ``checks(lines, text, values)``: (faulty-row mask,
-    exception for row i) pairs, ``lines`` being physical line numbers. The
-    first faulty row in file order raises, with its first failing check."""
+def _read_csv(path, columns, n_text, check, comments=False):
+    """Rows of a CSV file under the header ``columns``, read in one pass,
+    as ``(ids, values)``: the first ``n_text`` fields of each row stripped,
+    one list per column, and the rest read by ``float()`` into an (n, k)
+    array. Blank lines, and with ``comments`` ``#`` lines, are skipped.
+    Each row is checked in order for its width, empty ids and numbers,
+    then by ``check(line, ids, values)``, which raises; ``line`` is the
+    physical line number, so the first faulty row in file order raises,
+    with its first failing check."""
+    ncol = len(columns)
+    ids, values, header = [[] for _ in range(n_text)], [], None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader
-                if row and (len(row) > 1 or row[0].strip())
-                and not (comments and row[0].lstrip()[:1] == "#")]
-    if not rows:
+        for row in reader:
+            if (not row or (len(row) == 1 and not row[0].strip())
+                    or (comments and row[0].lstrip()[:1] == "#")):
+                continue
+            if header is None:
+                header = [h.strip() for h in row]
+                if header != list(columns):
+                    raise HeaderMismatch(
+                        f"{path}: expected header {','.join(columns)}, "
+                        f"got {','.join(header)}")
+                continue
+            line = reader.line_num
+            if len(row) != ncol:
+                raise ParseError(line, f"expected {ncol} fields, got {len(row)}")
+            text = [v.strip() for v in row[:n_text]]
+            if not all(text):
+                raise ParseError(line, "empty event or station identifier")
+            try:
+                nums = [float(v) for v in row[n_text:]]
+            except ValueError as exc:
+                raise ParseError(line, f"bad numeric field: {exc}") from None
+            check(line, text, nums)
+            for col, v in zip(ids, text):
+                col.append(v)
+            values.extend(nums)
+    if header is None:
         raise ShortFile(f"{path}: empty file")
-    header = [h.strip() for h in rows[0][1]]
-    if header != list(columns):
-        raise HeaderMismatch(f"{path}: expected header {','.join(columns)}, "
-                             f"got {','.join(header)}")
-    lines, raw = [ln for ln, _ in rows[1:]], [row for _, row in rows[1:]]
-    ncol, n = len(columns), len(raw)
-    # a row of the wrong width is read as empty fields; its width fails first
-    fixed = [row if len(row) == ncol else [""] * ncol for row in raw]
-    text = [[row[c].strip() for row in fixed] for c in range(n_text)]
-    parsed = [_floats(row[n_text:]) for row in fixed]
-    values = np.array([[np.nan] * (ncol - n_text) if isinstance(p, ValueError)
-                       else p for p in parsed]).reshape(n, ncol - n_text)
-    checks = [
-        ([len(row) != ncol for row in raw], lambda i: ParseError(
-            lines[i], f"expected {ncol} fields, got {len(raw[i])}")),
-        # the column of True gives n rows also when there are no ids
-        ([not all(ids) for ids in zip(*text, [True] * n)],
-         lambda i: ParseError(lines[i], "empty event or station identifier")),
-        ([isinstance(p, ValueError) for p in parsed],
-         lambda i: ParseError(lines[i], f"bad numeric field: {parsed[i]}")),
-    ] + checks(lines, text, values)
-    bad = np.array([mask for mask, _ in checks], dtype=bool)
-    faulty = np.flatnonzero(bad.any(axis=0))
-    if faulty.size:
-        raise checks[int(np.argmax(bad[:, faulty[0]]))][1](faulty[0])
-    return text, values
+    return ids, np.array(values).reshape(-1, ncol - n_text)
 
 
-def _floats(fields):
-    """``float()`` of each field, or the ValueError of the first bad one."""
-    try:
-        return [float(v) for v in fields]
-    except ValueError as exc:
-        return exc
-
-
-def _repeats(keys):
-    """Mask of the rows whose key appeared on an earlier row."""
-    first = {}
-    return np.array([first.setdefault(k, i) != i for i, k in enumerate(keys)],
-                    dtype=bool)
+def _station_check(keys):
+    """The row check of one station file; ``keys`` collects its keys."""
+    def check(line, ids, v):
+        if not (math.isfinite(v[0]) and math.isfinite(v[1])):
+            raise ParseError(line, "non-finite coordinate")
+        if not (math.isfinite(v[2]) and v[2] >= 0.0):
+            raise ParseError(line, f"gust must be finite and >= 0, got {v[2]}")
+        key = tuple(ids)
+        if key in keys:
+            raise DuplicateStation(f"duplicate station key {key} at line {line}")
+        keys.add(key)
+    return check
 
 
 def load_stations(path, *more_paths) -> StationSet:
@@ -189,25 +191,21 @@ def load_stations(path, *more_paths) -> StationSet:
 
     The first faulty row in file order raises :class:`ParseError` with its
     line number, or :class:`DuplicateStation` on a repeated (event,
-    station) key, also one repeated in a later file.
+    station) key. A key repeated in a later file raises once every file
+    has parsed.
     """
-    def checks(lines, text, v):
-        keys = list(zip(*text))
-        return [(~np.isfinite(v[:, :2]).all(axis=1),
-                 lambda i: ParseError(lines[i], "non-finite coordinate")),
-                (~(np.isfinite(v[:, 2]) & (v[:, 2] >= 0.0)),
-                 lambda i: ParseError(lines[i], "gust must be finite and "
-                                                f">= 0, got {float(v[i, 2])}")),
-                (_repeats(keys), lambda i: DuplicateStation(
-                    f"duplicate station key {keys[i]} at line {lines[i]}"))]
-
-    parts = [_read_csv(p, STATION_COLUMNS, 2, checks) for p in (path, *more_paths)]
-    event, station = ([v for (text, _) in parts for v in text[k]] for k in (0, 1))
-    keys = list(zip(event, station))
-    dup = np.flatnonzero(_repeats(keys)) if more_paths else []
-    if len(dup):
-        raise DuplicateStation(
-            f"duplicate station key {keys[dup[0]]} across station files")
+    paths = (path, *more_paths)
+    keysets = [set() for _ in paths]
+    parts = [_read_csv(p, STATION_COLUMNS, 2, _station_check(keys))
+             for p, keys in zip(paths, keysets)]
+    seen = keysets[0]
+    for keys, (ids, _) in zip(keysets[1:], parts[1:]):
+        for key in zip(*ids):
+            if key in seen:
+                raise DuplicateStation(
+                    f"duplicate station key {key} across station files")
+        seen |= keys
+    event, station = ([v for ids, _ in parts for v in ids[k]] for k in (0, 1))
     return StationSet(np.array(event, dtype=object), np.array(station, dtype=object),
                       *np.concatenate([v for _, v in parts]).T.copy())
 
@@ -298,7 +296,8 @@ def _grid_values(tokens, line):
 
 
 def save_grid(grid: GridField, path, header_comments=()) -> None:
-    """Write a GridField in FIELDGRID v1 format at 6 significant digits."""
+    """Write a GridField in FIELDGRID v1 format at 6 significant digits,
+    atomically."""
     buf = io.StringIO()
     for line in header_comments:
         buf.write(f"# {line}\n")
@@ -312,8 +311,16 @@ def save_grid(grid: GridField, path, header_comments=()) -> None:
     row = " ".join(["%.6g"] * grid.n2) + "\n"
     text = (row * grid.n1) % tuple(grid.values.ravel().tolist())
     buf.write(text.replace("nan", "NA"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    _write_text(path, buf.getvalue())
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through ``<path>.tmp`` and ``os.replace``,
+    so a reader never sees a half-written file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def _live_dot(w, corners):
@@ -395,9 +402,11 @@ def holdout_split(dataset: EventDataset, n_holdout: int, seed: int):
 def load_points(path):
     """Read a target-point CSV with header s1,s2,x (``#`` lines are
     comments) as (locations (n,2), intensities (n,))."""
-    _, v = _read_csv(path, ("s1", "s2", "x"), 0, lambda lines, _, v: [
-        (~np.isfinite(v).all(axis=1),
-         lambda i: ParseError(lines[i], "non-finite value"))], comments=True)
+    def check(line, _, v):
+        if not all(map(math.isfinite, v)):
+            raise ParseError(line, "non-finite value")
+
+    _, v = _read_csv(path, ("s1", "s2", "x"), 0, check, comments=True)
     if not len(v):
         raise EmptyDataset(f"{path}: no target points")
     return np.ascontiguousarray(v[:, :2]), v[:, 2].copy()

@@ -194,14 +194,3 @@ def validation_report(fit: ModelFit,
                             mahalanobis_pvalue=p,
                             df_pair=(n, df2))
 
-
-def variogram_csv_rows(table: VariogramTable):
-    """Header and rows for the long-format variogram export."""
-    header = ["variable", "bin_mid", "empirical", "model", "lo", "hi", "count"]
-    rows = []
-    for k in range(table.bins):
-        rows.append([table.binning_variable, f"{table.bin_center[k]:.6g}",
-                     f"{table.empirical[k]:.6g}", f"{table.model[k]:.6g}",
-                     f"{table.lower95[k]:.6g}", f"{table.upper95[k]:.6g}",
-                     str(int(table.counts[k]))])
-    return header, rows

@@ -24,7 +24,7 @@ from scipy.linalg import lapack
 
 from .covariance import (NU_BOUNDS, Hyperparameters, correlation_matrix_arrays,
                          rotate_array)
-from .dataio import EventDataset
+from .dataio import EventDataset, _write_text
 from .numerics import (CholeskyFactor, NonFiniteObjective, NotPositiveDefinite,
                        OptimizerOptions, SearchResult, cholesky, nelder_mead)
 
@@ -123,8 +123,8 @@ class EventFit:
     :func:`event_statistics`.
 
     The stored fields are what the evidence needs. ``weights``,
-    ``Ainv_H``, ``Linv_T`` and ``Bstar``, which only prediction reads,
-    are computed on first use, so the theta objective never pays for them.
+    ``Ainv_H`` and ``Linv_T``, which only prediction reads, are computed
+    on first use, so the theta objective never pays for them.
     """
 
     dataset: EventDataset
@@ -174,11 +174,6 @@ class EventFit:
         # (L^{-1})^T, C-contiguous (the transpose of LAPACK's Fortran
         # order): t^T A^{-1} t = ||t^T Linv_T||^2 is then one GEMM
         return lapack.dtrtri(self.A_factor.lower, lower=1)[0].T
-
-    @functools.cached_property
-    def Bstar(self) -> np.ndarray:
-        bstar = self.Bstar_inv_factor.solve(np.eye(len(self.beta_hat)))
-        return 0.5 * (bstar + bstar.T)
 
     @property
     def log_evidence(self) -> float:
@@ -406,10 +401,11 @@ def format_fit(fit_result: ModelFit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_fit(fit_result: ModelFit, path) -> None:
-    """Write :func:`format_fit` of a ModelFit to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_fit(fit_result))
+def save_fit(fit_result: ModelFit, path, header_comments=()) -> None:
+    """Write :func:`format_fit` of a ModelFit to ``path`` atomically, after
+    one ``# `` line per entry of ``header_comments``."""
+    _write_text(path, "".join(f"# {line}\n" for line in header_comments)
+                + format_fit(fit_result))
 
 
 # a parsed, format-checked artifact with no event built: theta, the prior,

@@ -187,10 +187,12 @@ def _conditional(fit: ModelFit, event: str, targets, full_cov: bool,
         for lo in range(0, n, rows):
             blk = slice(lo, lo + rows)
             t_mat, mean[blk], r = block(blk)
-            # t_i^T A^{-1} t_i = ||L^{-1} t_i||^2, one GEMM against L^{-1}
+            # t_i^T A^{-1} t_i = ||L^{-1} t_i||^2, one GEMM against L^{-1},
+            # and r_i B* r_i^T = ||L_B^{-1} r_i^T||^2 as in the full path
             w = t_mat @ ef.Linv_T
+            v = ef.Bstar_inv_factor.solve_lower(r.T)
             var[blk] = (1.0 + nugget_z - np.einsum("ij,ij->i", w, w)
-                        + np.einsum("ij,ij->i", r @ ef.Bstar, r))
+                        + np.einsum("ji,ji->i", v, v))
         var = ef.sigma_hat2 * np.clip(var, 0.0, None) + noise
     return PosteriorField(event=event, locations=loc, intensities=x,
                           mean=mean, variance=var, covariance=cov,
@@ -298,18 +300,3 @@ def export_grids(pf: PosteriorField, grid: GridField):
     }
     return out
 
-
-def points_csv_rows(pf: PosteriorField, level: float = 0.95,
-                    law: str = "auto"):
-    """Header and formatted rows for the point-prediction CSV export."""
-    lo, hi = pf.interval(level=level, law=law)
-    pct = round(level * 100)
-    header = ["event", "s1", "s2", "x_sim", "post_mean", "post_sd",
-              f"lo{pct}", f"hi{pct}"]
-    table = np.column_stack([pf.locations, pf.intensities, pf.mean, pf.sd,
-                             lo, hi])
-    # one %-format per row on plain Python floats; "%.6g" has no comma
-    fmt = ",".join(["%.6g"] * table.shape[1])
-    rows = [[pf.event, *(fmt % tuple(row)).split(",")]
-            for row in table.tolist()]
-    return header, rows

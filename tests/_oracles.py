@@ -264,6 +264,12 @@ def pivoted_cholesky_reference(a):
     return PivotedCholeskyFactor(permutation=perm, upper=upper, rank=rank)
 
 
+def _bstar(ef):
+    """B* = ((B*)^{-1})^{-1} by two solves against the identity, symmetrized."""
+    bstar = ef.Bstar_inv_factor.solve(np.eye(len(ef.beta_hat)))
+    return 0.5 * (bstar + bstar.T)
+
+
 def conditional_reference(fit, event, loc, x, add_noise):
     """Diagonal-only posterior mean and variance over all targets at once.
 
@@ -290,7 +296,7 @@ def conditional_reference(fit, event, loc, x, add_noise):
     noise = prior.sigmaY ** 2 if add_noise else 0.0
     var = (1.0 + nugget_z
            - np.einsum("ij,ji->i", t_mat, ainv_tt)
-           + np.einsum("ij,ij->i", r @ ef.Bstar, r))
+           + np.einsum("ij,ij->i", r @ _bstar(ef), r))
     var = ef.sigma_hat2 * np.clip(var, 0.0, None) + noise
     return mean, var
 
@@ -316,7 +322,7 @@ def full_covariance_reference(fit, event, loc, x, add_noise):
     r = basis_matrix(x, prior.q) - t_mat @ ef.Ainv_H
     ainv_tt = ef.A_factor.solve(t_mat.T)
     c_t = correlation_block(theta, loc_t, x, loc_t, x)
-    cov = c_t - t_mat @ ainv_tt + r @ ef.Bstar @ r.T
+    cov = c_t - t_mat @ ainv_tt + r @ _bstar(ef) @ r.T
     nugget_z = max(theta.lambda2 - prior.sigmaY ** 2 / ef.sigma_hat2, 0.0)
     cov[np.diag_indices_from(cov)] += nugget_z
     cov *= ef.sigma_hat2
@@ -407,6 +413,94 @@ def save_grid_reference(grid, path, header_comments=()):
                   + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
+
+
+def csv_text_reference(comments, header, rows):
+    """A CSV file's text from preformatted rows, as ``cli._write_csv``
+    joined it before it took a table's columns."""
+    out = [f"# {c}" for c in comments]
+    out.append(",".join(header))
+    out.extend(map(",".join, rows))
+    return "\n".join(out) + "\n"
+
+
+def g6_rows_reference(table):
+    """A float table as CSV rows of one preformatted cell: ``{:.6g}`` text.
+
+    ``cli._g6_rows``, which formatted the full-covariance and simulate
+    tables before ``cli._write_csv`` formatted every table."""
+    n, k = table.shape
+    if not n:
+        return []
+    # one %-format over the whole table on plain Python floats
+    fmt = "\n".join([",".join(["%.6g"] * k)] * n)
+    text = fmt % tuple(table.ravel().tolist())
+    return [(row,) for row in text.split("\n")]
+
+
+def points_csv_rows_reference(pf, level=0.95, law="auto"):
+    """Header and formatted rows for the point-prediction CSV export,
+    as ``prediction.points_csv_rows`` made them."""
+    lo, hi = pf.interval(level=level, law=law)
+    pct = round(level * 100)
+    header = ["event", "s1", "s2", "x_sim", "post_mean", "post_sd",
+              f"lo{pct}", f"hi{pct}"]
+    table = np.column_stack([pf.locations, pf.intensities, pf.mean, pf.sd,
+                             lo, hi])
+    # one %-format per row on plain Python floats; "%.6g" has no comma
+    fmt = ",".join(["%.6g"] * table.shape[1])
+    rows = [[pf.event, *(fmt % tuple(row)).split(",")]
+            for row in table.tolist()]
+    return header, rows
+
+
+def variogram_csv_rows_reference(table):
+    """Header and rows for the long-format variogram export, as
+    ``diagnostics.variogram_csv_rows`` made them."""
+    header = ["variable", "bin_mid", "empirical", "model", "lo", "hi", "count"]
+    rows = []
+    for k in range(table.bins):
+        rows.append([table.binning_variable, f"{table.bin_center[k]:.6g}",
+                     f"{table.empirical[k]:.6g}", f"{table.model[k]:.6g}",
+                     f"{table.lower95[k]:.6g}", f"{table.upper95[k]:.6g}",
+                     str(int(table.counts[k]))])
+    return header, rows
+
+
+def fit_summary_rows_reference(result, sigma_y):
+    """Header and rows of ``fit_summary.csv``, one f-string per cell, as
+    ``cli.cmd_fit`` made them."""
+    rows = []
+    sy2 = sigma_y ** 2
+    for ef in result.events:
+        ok = result.theta.lambda2 * ef.sigma_hat2 >= sy2
+        rows.append([ef.event, str(ef.K),
+                     " ".join(f"{v:.6g}" for v in ef.beta_hat),
+                     f"{np.sqrt(ef.sigma_hat2):.6g}",
+                     "ok" if ok else "nugget_below_noise"])
+    return ["event", "K", "beta_hat", "sigma_hat", "nugget_check"], rows
+
+
+def validate_rows_reference(event, n_hold, hold, report):
+    """The standardized rows, the pivoted rows and the summary row of one
+    event's validation, one f-string per cell, as ``cli.cmd_validate``
+    made them."""
+    from fieldcal.dataio import rmse
+
+    std = [[str(i), f"{v:.6g}"]
+           for i, v in enumerate(report.standardized_errors)]
+    piv = [[str(k), str(int(report.pivot_indices[k])),
+            f"{report.pivoted_errors[k]:.6g}",
+            f"{report.qq_pairs[k, 0]:.6g}",
+            f"{report.qq_pairs[k, 1]:.6g}"]
+           for k in range(len(report.pivoted_errors))]
+    summary = [event, str(n_hold), str(report.df_pair[1]),
+               f"{report.mahalanobis:.6g}",
+               f"{report.mahalanobis_raw:.6g}",
+               f"{report.mahalanobis_pvalue:.6g}",
+               f"{rmse(hold.y, hold.x):.6g}",
+               f"{rmse(hold.y, report.mean):.6g}"]
+    return std, piv, summary
 
 
 def validation_reference(fit, validation):

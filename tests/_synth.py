@@ -9,6 +9,8 @@ evaluation here is local to this module so the generator does not lean
 on the production covariance assembly it is used to test.
 """
 
+import csv
+
 import numpy as np
 from scipy.special import gamma, kv
 
@@ -119,16 +121,17 @@ def write_corpus(root, corpus):
     need a generating mean high enough to keep every draw positive.
     """
     station_path = f"{root}/stations.csv"
-    lines = ["event,station,s1,s2,gust"]
+    rows = [["event", "station", "s1", "s2", "gust"]]
     for grid, ds in corpus:
         if ds.y.min() < 0.0:
             raise AssertionError(f"event {ds.event}: negative gust draw; "
                                  "raise the generating intercept or reseed")
         for i in range(len(ds)):
-            lines.append(f"{ds.event},st{i:04d},{ds.locations[i, 0]:.17g},"
-                         f"{ds.locations[i, 1]:.17g},{ds.y[i]:.17g}")
-    with open(station_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            rows.append([ds.event, f"st{i:04d}", f"{ds.locations[i, 0]:.17g}",
+                         f"{ds.locations[i, 1]:.17g}", f"{ds.y[i]:.17g}"])
+    # csv quotes an id holding a comma or a quote, and no other
+    with open(station_path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     grid_paths = []
     for grid, _ in corpus:
         gpath = f"{root}/grid_{grid.event}.fg"

@@ -5,6 +5,7 @@ codes and the files left behind, exactly as a shell user would see
 them. One fit is shared per module; reruns check byte determinism.
 """
 
+import csv
 import logging
 import os
 import re
@@ -18,9 +19,13 @@ from fieldcal import cli
 from fieldcal.dataio import (GridField, holdout_split, load_grid, load_points,
                              load_stations, pair_and_threshold, rmse,
                              save_grid)
+from fieldcal.diagnostics import semivariogram, validation_report
 from fieldcal.inference import ModelFit, event_statistics, load_fit
-from fieldcal.prediction import posterior_field
+from fieldcal.prediction import posterior_field, sample_field
 
+from _oracles import (csv_text_reference, fit_summary_rows_reference,
+                      g6_rows_reference, points_csv_rows_reference,
+                      validate_rows_reference, variogram_csv_rows_reference)
 from _synth import make_corpus, synth_event, write_corpus
 
 # raised intercept keeps every synthetic gust positive so the station
@@ -69,6 +74,19 @@ def fitted(corpus_dir):
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _csv_rows(path):
+    """The header and rows of a fieldcal CSV through ``csv.reader``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(l for l in fh if not l.startswith("#")))
+
+
+def _matches_reference(path, header, rows):
+    """Whether a CSV file is the text the parent's row formatters gave."""
+    text = path.read_text(encoding="utf-8")
+    comments = [l[2:] for l in text.splitlines() if l.startswith("# ")]
+    return text == csv_text_reference(comments, header, rows)
 
 
 def test_fit_writes_artifact_and_summary(corpus_dir, fitted):
@@ -272,16 +290,112 @@ def test_predict_full_cov_writes_matrix(corpus_dir, fitted, tmp_path):
     assert np.array_equal(cov, cov.T)
 
 
-def test_g6_rows_match_the_per_row_format():
+def test_write_csv_matches_the_per_row_format(tmp_path):
     rng = np.random.default_rng(17)
     table = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-8, 8, (6, 5))
     table[0] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
     table[1, :2] = [1e300, -1e300]
-    rows = cli._g6_rows(table)
-    assert rows == _g6_rows_per_row(table)
-    assert rows[0] == ("nan,inf,-inf,-0,4.94066e-324",)
-    assert cli._g6_rows(np.zeros((0, 5))) == []
-    assert cli._g6_rows(table[:1]) == _g6_rows_per_row(table[:1])
+    header = [f"c{j}" for j in range(5)]
+    path = tmp_path / "t.csv"
+    for rows in (table, table[:1], table[:0]):
+        cli._write_csv(path, ["a 100% comment"], dict(zip(header, rows.T)))
+        assert _matches_reference(path, header, g6_rows_reference(rows))
+        assert _matches_reference(path, header, _g6_rows_per_row(rows))
+        if len(rows) == len(table):
+            assert path.read_text().splitlines()[2] == \
+                "nan,inf,-inf,-0,4.94066e-324"
+    # an empty table is its comments and header
+    assert path.read_text() == "# a 100% comment\nc0,c1,c2,c3,c4\n"
+    assert not (tmp_path / "t.csv.tmp").exists()
+
+
+def test_points_csv_columns(corpus_dir, fitted, tmp_path):
+    points = corpus_dir / "targets.csv"
+    assert cli.main(["predict", "-f", str(fitted), "-e", "ev00",
+                     "--points", str(points), "--full-cov",
+                     "--interval", "gauss", "-o", str(tmp_path)]) == 0
+    header, *rows = _csv_rows(tmp_path / "predict_ev00_points.csv")
+    assert header == ["event", "s1", "s2", "x_sim", "post_mean", "post_sd",
+                      "lo95", "hi95"]
+    assert len(rows) == 8
+    assert rows[0][0] == "ev00"
+    loc, x = load_points(points)
+    assert float(rows[0][3]) == x[0]
+    pf = posterior_field(load_fit(fitted), "ev00", (loc, x), full_cov=True)
+    lo, hi = pf.interval(0.95, law="gauss")
+    assert float(rows[1][6]) == pytest.approx(lo[1], rel=1e-5)
+    assert float(rows[1][7]) == pytest.approx(hi[1], rel=1e-5)
+    assert _matches_reference(tmp_path / "predict_ev00_points.csv",
+                              *points_csv_rows_reference(pf, law="gauss"))
+    assert _matches_reference(tmp_path / "predict_ev00_cov.csv",
+                              [f"c{j}" for j in range(8)],
+                              g6_rows_reference(pf.covariance))
+
+
+def test_variogram_csv_columns(corpus_dir, fitted, tmp_path):
+    assert cli.main(["variogram", "-f", str(fitted), "-e", "ev00",
+                     "--var", "delta_intensity", "--bins", "4", "--seed", "3",
+                     "-o", str(tmp_path)]) == 0
+    path = tmp_path / "variogram_ev00_delta_intensity.csv"
+    header, *rows = _csv_rows(path)
+    assert header == ["variable", "bin_mid", "empirical", "model", "lo",
+                      "hi", "count"]
+    assert len(rows) == 4
+    assert rows[0][0] == "delta_intensity"
+    result = load_fit(fitted)
+    k = result.event("ev00").K
+    assert sum(int(r[6]) for r in rows) == k * (k - 1) // 2
+    table = semivariogram(result, "ev00", "delta_intensity", 4, seed=3)
+    assert float(rows[2][1]) == pytest.approx(table.bin_center[2], rel=1e-5)
+    assert _matches_reference(path, *variogram_csv_rows_reference(table))
+
+
+def test_csv_bodies_match_the_row_formatters(corpus_dir, fitted, tmp_path):
+    # fit_summary, simulate and validate against the per-row formatting
+    # the commands did before one writer took every table as columns
+    result = load_fit(fitted)
+    cfg = cli.parse_config(corpus_dir / "run.cfg")
+    assert _matches_reference(corpus_dir / "fit_summary.csv",
+                              *fit_summary_rows_reference(result,
+                                                          cfg.prior.sigmaY))
+
+    points = corpus_dir / "targets.csv"
+    assert cli.main(["simulate", "-f", str(fitted), "-e", "ev00",
+                     "--points", str(points), "-n", "3", "--seed", "11",
+                     "-o", str(tmp_path)]) == 0
+    pf = posterior_field(result, "ev00", load_points(points), full_cov=True)
+    table = np.column_stack([pf.locations, pf.intensities, pf.mean,
+                             sample_field(pf, 3, 11).T])
+    assert _matches_reference(
+        tmp_path / "simulate_ev00.csv",
+        ["s1", "s2", "x_sim", "post_mean", "real_1", "real_2", "real_3"],
+        g6_rows_reference(table))
+
+    assert cli.main(["validate", "-f", str(fitted),
+                     "-c", str(corpus_dir / "run.cfg"),
+                     "--set", f"output_dir={tmp_path}"]) == 0
+    stations = load_stations(corpus_dir / "stations.csv")
+    n_hold, summary = cfg.validation_holdout, []
+    for ev in ("ev00", "ev01"):
+        ds = pair_and_threshold(stations, load_grid(corpus_dir / f"grid_{ev}.fg"),
+                                cfg.threshold_u)
+        train, hold = holdout_split(ds, n_hold,
+                                    cfg.seed + zlib.crc32(ev.encode()) % 100000)
+        ef = event_statistics(train, result.theta, result.prior)
+        report = validation_report(
+            ModelFit(theta=result.theta, events=(ef,), prior=result.prior,
+                     log_posterior=ef.log_evidence), hold)
+        std, piv, row = validate_rows_reference(ev, n_hold, hold, report)
+        assert _matches_reference(tmp_path / f"validate_{ev}_standardized.csv",
+                                  ["index", "std_error"], std)
+        assert _matches_reference(tmp_path / f"validate_{ev}_pivoted.csv",
+                                  ["pivot_order", "holdout_index", "error",
+                                   "qq_theoretical", "qq_observed"], piv)
+        summary.append(row)
+    assert _matches_reference(tmp_path / "validate_summary.csv",
+                              ["event", "n_holdout", "df2", "mahalanobis",
+                               "raw_sq_sum", "p_value", "rmse_simulated",
+                               "rmse_posterior"], summary)
 
 
 def test_predict_grid_full_cov_over_limit_is_user_error(corpus_dir, fitted,
@@ -351,25 +465,36 @@ def test_predict_unknown_event(corpus_dir, fitted, tmp_path):
 
 
 def test_event_id_with_inner_whitespace_round_trips(tmp_path):
-    event = "storm  one"
-    corpus = [synth_event(event, np.random.default_rng(CLI_SEED), 45, CLI_BETA)]
-    station_path, (grid_path,) = write_corpus(str(tmp_path), corpus)
+    # the second id is quoted in the station file, and written quoted
+    events = ["storm  one", 'storm, "A"']
+    rng = np.random.default_rng(CLI_SEED)
+    corpus = [synth_event(ev, rng, 45, CLI_BETA) for ev in events]
+    station_path, grid_paths = write_corpus(str(tmp_path), corpus)
+    # the config's list of grids is comma-separated
+    grid_paths[1] = str(tmp_path / "grid_quoted.fg")
+    os.replace(tmp_path / f"grid_{events[1]}.fg", grid_paths[1])
     config = tmp_path / "run.cfg"
-    config.write_text(f"stations = {station_path}\ngrids = {grid_path}\n"
+    config.write_text(f"stations = {station_path}\ngrids = {','.join(grid_paths)}\n"
                       "holdout = 10\nmax_evals = 40\nsimplex_tolerance = 1e-3\n"
                       "theta0 = 0.25,0.3,4,3,1.2,0.9,8\n"
                       f"output_dir = {tmp_path}\n", encoding="utf-8")
     assert cli.main(["fit", "-c", str(config)]) == 0
     fit_path = tmp_path / "fit.out"
-    assert [ef.event for ef in load_fit(fit_path).events] == [event]
+    assert [ef.event for ef in load_fit(fit_path).events] == events
     points = tmp_path / "targets.csv"
     points.write_text("s1,s2,x\n5,5,25\n6,7,30\n", encoding="utf-8")
-    assert cli.main(["predict", "-f", str(fit_path), "-e", event,
-                     "--points", str(points), "-o", str(tmp_path)]) == 0
-    assert (tmp_path / f"predict_{event}_points.csv").exists()
+    outputs = [tmp_path / "fit_summary.csv", tmp_path / "validate_summary.csv"]
+    for event in events:
+        assert cli.main(["predict", "-f", str(fit_path), "-e", event,
+                         "--points", str(points), "-o", str(tmp_path)]) == 0
+        outputs.append(tmp_path / f"predict_{event}_points.csv")
     assert cli.main(["validate", "-f", str(fit_path), "-c", str(config)]) == 0
-    summary = (tmp_path / "validate_summary.csv").read_text().splitlines()
-    assert [l.split(",")[0] for l in summary if l.startswith("storm")] == [event]
+    for path in outputs:
+        header, *rows = _csv_rows(path)
+        assert rows and all(len(row) == len(header) for row in rows), path
+        assert {row[0] for row in rows} <= set(events)
+    summary = _csv_rows(tmp_path / "validate_summary.csv")[1:]
+    assert [row[0] for row in summary] == events
 
 
 def test_validate_outputs_and_seeded_split(corpus_dir, fitted):

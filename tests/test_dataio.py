@@ -3,6 +3,7 @@ thresholding, holdout splitting."""
 
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,10 +130,36 @@ def test_load_stations_empty_file(tmp_path):
      ParseError, 3),
     ("ev1,A,0,0,1\nev1,B,0,0,1,9\n,C,0,0,1\n", ParseError, 3),
     ("ev1,A,0,0,1\n ,B,0,0,1\nev1,C,0,0,1,9\n", ParseError, 3),
+    # two faults in one row (a bad number and a negative gust) and one later
+    ("ev1,A,0,0,1\nev1,B,0,x,-1\nev1,A,0,0,1\n", ParseError, 3),
+    # a key repeated across files loses to a parse error in the second file
+    (("ev1,A,0,0,1\n", "ev1,A,0,0,1\nev1,B,0,0,-1\n"), ParseError, 3),
 ])
 def test_load_stations_first_faulty_row_wins(tmp_path, body, error, line):
+    bodies = body if isinstance(body, tuple) else (body,)
+    paths = [write(tmp_path / f"st{k}.csv", STATION_HEADER + b)
+             for k, b in enumerate(bodies)]
     with pytest.raises(error, match=f"line {line}"):
-        load_stations(write(tmp_path / "st.csv", STATION_HEADER + body))
+        load_stations(*paths)
+
+
+def test_load_stations_streams_its_rows(tmp_path):
+    # 2000 rows (the fit-storms station file) peak at about 0.6 MiB of
+    # Python allocations, the StationSet's 0.3 MiB included; holding every
+    # row as strings before building the columns peaked at 1.6 MiB
+    rng = np.random.default_rng(29)
+    rows = [f"ev{k // 200:02d},st{k % 200:03d},{a:.6g},{b:.6g},{g:.6g}\n"
+            for k, (a, b, g) in enumerate(rng.uniform(0, 100, (2000, 3)))]
+    path = write(tmp_path / "st.csv", STATION_HEADER + "".join(rows))
+    load_stations(path)
+    tracemalloc.start()
+    try:
+        ss = load_stations(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ss) == 2000
+    assert peak < 2 ** 20
 
 
 def test_load_stations_one_row_reports_its_first_check(tmp_path):

@@ -21,7 +21,6 @@ from fieldcal.diagnostics import (
     VariogramTable,
     semivariogram,
     validation_report,
-    variogram_csv_rows,
 )
 from fieldcal.inference import ModelFit, PriorSpec, event_statistics, log_posterior_theta
 from fieldcal.numerics import cholesky, pivoted_cholesky
@@ -398,20 +397,6 @@ def test_semivariogram_errors():
     mf_small = fit_of(small)
     with pytest.raises(EmptyBin):
         semivariogram(mf_small, "ev", "h1", bins=10)
-
-
-def test_variogram_csv_rows():
-    rng = np.random.default_rng(233)
-    ds = gp_dataset(rng, 12)
-    mf = fit_of(ds)
-    table = semivariogram(mf, "ev", "delta_intensity", bins=4, reps=30, seed=0)
-    header, rows = variogram_csv_rows(table)
-    assert header == ["variable", "bin_mid", "empirical", "model", "lo",
-                      "hi", "count"]
-    assert len(rows) == 4
-    assert rows[0][0] == "delta_intensity"
-    assert sum(int(r[6]) for r in rows) == 12 * 11 // 2
-    assert float(rows[2][1]) == pytest.approx(table.bin_center[2], rel=1e-5)
 
 
 def test_variogram_table_validation():

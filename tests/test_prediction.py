@@ -20,7 +20,6 @@ from fieldcal.inference import (
 from fieldcal.prediction import (
     PosteriorField,
     export_grids,
-    points_csv_rows,
     posterior_field,
     predict_grid,
     predictive_measurements,
@@ -509,23 +508,6 @@ def test_intervals():
         pf.interval(0.0)
     with pytest.raises(ValueError):
         pf.interval(0.95, law="cauchy")
-
-
-def test_points_csv_rows():
-    rng = np.random.default_rng(127)
-    mf = make_fit(rng)
-    tloc = np.array([[1.0, 2.0], [3.0, 4.0]])
-    tx = np.array([20.0, 30.0])
-    pf = posterior_field(mf, "ev", (tloc, tx))
-    header, rows = points_csv_rows(pf, level=0.95, law="gauss")
-    assert header == ["event", "s1", "s2", "x_sim", "post_mean", "post_sd",
-                      "lo95", "hi95"]
-    assert len(rows) == 2
-    assert rows[0][0] == "ev"
-    assert float(rows[0][3]) == 20.0
-    lo, hi = pf.interval(0.95, law="gauss")
-    assert float(rows[1][6]) == pytest.approx(lo[1], rel=1e-5)
-    assert float(rows[1][7]) == pytest.approx(hi[1], rel=1e-5)
 
 
 def test_target_forms_equivalent():
