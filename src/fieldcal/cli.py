@@ -12,6 +12,7 @@ CSV format: every table goes through :func:`_write_csv`, floats as
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import logging
 import os
@@ -103,6 +104,12 @@ def _parse_kv_file(path):
     return values
 
 
+def _paths(text):
+    """A comma-separated list of paths, read as one CSV row: a path that
+    holds a comma is double-quoted, with any double quote in it doubled."""
+    return tuple(next(csv.reader([text])))
+
+
 def _floats(text, what):
     try:
         return [float(v) for v in text.replace(",", " ").split()]
@@ -149,8 +156,8 @@ def parse_config(path, overrides=()) -> RunConfig:
                     "theta0 needs 7 values: omega,lambda2,phi1,phi2,nu1,nu2,phiX")
             theta0 = Hyperparameters(*t)
         cfg = RunConfig(
-            station_paths=tuple(values["stations"].split(",")),
-            grid_paths=tuple(values["grids"].split(",")),
+            station_paths=_paths(values["stations"]),
+            grid_paths=_paths(values["grids"]),
             threshold_u=float(values["threshold"]),
             prior=prior, optimizer=opts,
             validation_holdout=int(values["holdout"]),

@@ -94,80 +94,138 @@ def _matern_kv(z, nu: float) -> np.ndarray:
 NU_BOUNDS = (0.05, 30.0)
 
 # General-nu Matern kernel: f(z) = 2^(1-nu)/Gamma(nu) z^nu K_nu(z) is
-# analytic in u = ln z although not smooth in z at 0, so it is tabulated
-# per nu as polynomials of degree _DEGREE on pieces of width _PIECE in u,
-# interpolating kv at Chebyshev nodes. Measured max abs error against kv
-# is 4.3e-14 over NU_BOUNDS; lags outside the band of pieces go to kv.
-# Degree 4 on width 1/128 costs 4 multiply-adds per lag where degree 8 on
-# width 1/8 cost 8, at the same accuracy; degree 3 on width 1/256 gives
-# 1.2e-12. A table is 5 x about 2030 coefficients (81 KB).
+# tabulated per nu as polynomials of degree _DEGREE in z on pieces that
+# a lag's IEEE-754 bits index, so no log, floor or float-to-int cast is
+# needed. bits >> _PIECE_BITS (the exponent e and the top 7 mantissa
+# bits) numbers the pieces, 128 per octave, each at most 1/128 wide in
+# u = ln z. The low _PIECE_BITS bits set under the exponent of 1.0 make
+# 1 + (z - lower edge) / 2^e; less 1 + 2^-8, that is the local variable
+# s = (z - centre) / 2^e in [-2^-8, 2^-8). Row k of a table holds each
+# piece's t^k coefficient of the Chebyshev interpolant in t = 256 s,
+# times 256^k (exact), so evaluation is Horner in s. The pieces run from
+# the one holding e^_U_LOW to the one holding max(45, 2 nu + 45): about
+# 2930 of them, 5 x 2930 coefficients (117 KB). Zero, +inf, NaN and any
+# lag outside that band index outside the table and go to kv.
+# A table is built in two levels, with about 1150 kv calls instead of 5
+# per piece: degree-8 Chebyshev fits to kv on pieces of width 1/8 in u
+# give f at each fine piece's nodes, which the fine pieces interpolate.
+# Measured max abs error against kv is 9.4e-14 over NU_BOUNDS, and the
+# values at the nodes are within 4.4e-14 of fitting every piece to kv
+# directly; a build takes about 1.5 ms on a 2-CPU x86 VM, where the
+# direct fit took about 5 ms.
 _U_LOW = -12.0
-_PIECE = 1.0 / 128.0
 _DEGREE = 4
+_PIECE_BITS = 45
+_P0 = int(np.float64(math.exp(_U_LOW)).view(np.int64)) >> _PIECE_BITS
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
+# half a piece in units of the octave's lower end
+_HALF = 2.0 ** (_PIECE_BITS - 53)
+_COARSE_DEGREE = 8
+_COARSE_PIECE = 1.0 / 8.0
 # lags per evaluation block, so temporaries do not grow with the input
 _CHUNK = 32768
 
 
-def _chebyshev_interpolation():
+@functools.lru_cache(maxsize=2)
+def _chebyshev_interpolation(degree: int):
     """Chebyshev nodes on [-1, 1], the matrix taking function values there
     to Chebyshev coefficients, and the one taking those to power-basis
-    coefficients. Applied in that order: their product would cancel
-    badly against the near-constant values of the kernel."""
-    angles = np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)
+    coefficients, all read-only. Applied in that order: their product
+    would cancel badly against the near-constant values of the kernel."""
+    angles = np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
     # discrete orthogonality of the T_k at the nodes
-    to_cheb = np.cos(np.outer(np.arange(_DEGREE + 1), angles)) * (
-        2.0 / (_DEGREE + 1))
+    to_cheb = np.cos(np.outer(np.arange(degree + 1), angles)) * (
+        2.0 / (degree + 1))
     to_cheb[0] *= 0.5
     # column k holds the (integer) power coefficients of T_k
-    to_power = np.zeros((_DEGREE + 1, _DEGREE + 1))
+    to_power = np.zeros((degree + 1, degree + 1))
     to_power[0, 0] = to_power[1, 1] = 1.0
-    for k in range(2, _DEGREE + 1):
+    for k in range(2, degree + 1):
         to_power[1:, k] = 2.0 * to_power[:-1, k - 1]
         to_power[:, k] -= to_power[:, k - 2]
-    return np.cos(angles), to_cheb, to_power
+    out = np.cos(angles), to_cheb, to_power
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _piece_nodes(pieces: int) -> np.ndarray:
+    """(pieces, _DEGREE + 1) lags at the Chebyshev nodes of the first
+    ``pieces`` pieces of the table layout."""
+    edges = ((_P0 + np.arange(pieces + 1, dtype=np.int64)) << _PIECE_BITS
+             ).view(np.float64)
+    half = 0.5 * np.diff(edges)[:, None]
+    return edges[:-1, None] + half * (1.0 + _chebyshev_interpolation(_DEGREE)[0])
+
+
+def _matern_coarse(z, nu: float) -> np.ndarray:
+    """The Matern kernel at the lags ``z`` from degree-8 Chebyshev fits to
+    kv on pieces of width 1/8 in u = ln z spanning [min z, max z]."""
+    u = np.log(z)
+    u_low = float(u.min())
+    pieces = max(math.ceil((float(u.max()) - u_low) / _COARSE_PIECE), 1)
+    nodes, to_cheb, _ = _chebyshev_interpolation(_COARSE_DEGREE)
+    at = u_low + _COARSE_PIECE * (np.arange(pieces)[:, None] + 0.5 * (nodes + 1.0))
+    cheb = to_cheb @ _matern_kv(np.exp(at), nu).T
+    u -= u_low
+    u *= 1.0 / _COARSE_PIECE
+    j = np.minimum(np.floor(u), pieces - 1.0)
+    t = u - j
+    t *= 2.0
+    t -= 1.0
+    j = j.astype(np.intp)
+    # Clenshaw's recurrence b_k = c_k + 2 t b_(k+1) - b_(k+2) for
+    # sum_k cheb[k, j] T_k(t)
+    b1 = cheb[_COARSE_DEGREE].take(j)
+    b2 = np.zeros_like(b1)
+    step = np.empty_like(b1)
+    for k in range(_COARSE_DEGREE - 1, 0, -1):
+        np.subtract(cheb[k].take(j), b2, out=b2)
+        np.multiply(t, b1, out=step)
+        step *= 2.0
+        b2 += step
+        b1, b2 = b2, b1
+    b1 *= t
+    b1 -= b2
+    return b1 + cheb[0].take(j)
 
 
 @functools.lru_cache(maxsize=8)
 def _matern_table(nu: float) -> np.ndarray:
     """Per-piece power-basis coefficients of the Matern kernel at ``nu``.
 
-    Row k holds the t^k coefficient of every piece, with t in [-1, 1]
-    spanning the piece, so evaluation gathers one row per degree. phi
-    only rescales z, so the table depends on nu alone.
+    Row k holds the s^k coefficient of every piece, so evaluation gathers
+    one row per degree. phi only rescales z, so the table depends on nu
+    alone.
     """
-    u_high = math.log(max(45.0, 2.0 * nu + 45.0))
-    pieces = math.ceil((u_high - _U_LOW) / _PIECE)
-    nodes, to_cheb, to_power = _chebyshev_interpolation()
-    u = _U_LOW + _PIECE * (np.arange(pieces)[:, None] + 0.5 * (nodes + 1.0))
-    table = to_power @ (to_cheb @ _matern_kv(np.exp(u), nu).T)
+    top = np.float64(max(45.0, 2.0 * nu + 45.0))
+    z = _piece_nodes((int(top.view(np.int64)) >> _PIECE_BITS) - _P0 + 1)
+    _, to_cheb, to_power = _chebyshev_interpolation(_DEGREE)
+    table = to_power @ (to_cheb @ _matern_coarse(z, nu).T)
+    table *= _HALF ** -np.arange(_DEGREE + 1.0)[:, None]
     table.flags.writeable = False
     return table
 
 
 def _matern_interpolated(z, table: np.ndarray, nu: float, out: np.ndarray):
-    """Evaluate a Matern table at the lags ``z`` (one block) into ``out``.
-    A NaN lag lands in piece 0 with a NaN local coordinate, so its value
-    stays NaN."""
-    pieces = table.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.log(z)           # z = 0 gives -inf, sent to kv below
-        s -= _U_LOW
-        s *= 1.0 / _PIECE
-        j = np.floor(s)
-        outside = np.flatnonzero((j < 0.0) | (j >= pieces))
-        np.clip(j, 0.0, pieces - 1.0, out=j)
-        s -= j
-        s *= 2.0
-        s -= 1.0                # local coordinate t in [-1, 1]
-        idx = j.astype(np.intp)
-        # idx is in range but for a NaN lag, so "clip" changes nothing
-        # else; it skips the buffered output copy "raise" makes
-        np.take(table[_DEGREE], idx, out=out, mode="clip")
-        term = np.empty_like(out)
-        for k in range(_DEGREE - 1, -1, -1):
-            out *= s
-            out += np.take(table[k], idx, out=term, mode="clip")
-    if outside.size:
+    """Evaluate a Matern table at the lags ``z`` (one block) into ``out``."""
+    bits = z.view(np.int64)
+    idx = bits >> _PIECE_BITS
+    idx -= _P0
+    s = bits & ((1 << _PIECE_BITS) - 1)
+    s |= _ONE_BITS
+    s = s.view(np.float64)
+    s -= 1.0 + _HALF            # local variable in [-2^-8, 2^-8)
+    # a lag outside the band has an index outside the table, which
+    # "clip" maps to an edge piece before kv replaces its value; "clip"
+    # also skips the buffered output copy "raise" makes
+    np.take(table[_DEGREE], idx, out=out, mode="clip")
+    term = np.empty_like(out)
+    for k in range(_DEGREE - 1, -1, -1):
+        out *= s
+        out += np.take(table[k], idx, out=term, mode="clip")
+    if idx.min() < 0 or idx.max() >= table.shape[1]:
+        outside = np.flatnonzero((idx < 0) | (idx >= table.shape[1]))
         out[outside] = _matern_kv(z[outside], nu)
 
 

@@ -123,7 +123,7 @@ class EventFit:
     :func:`event_statistics`.
 
     The stored fields are what the evidence needs. ``weights``,
-    ``Ainv_H`` and ``Linv_T``, which only prediction reads, are computed
+    ``Ainv_H`` and ``Linv``, which only prediction reads, are computed
     on first use, so the theta objective never pays for them.
     """
 
@@ -170,10 +170,10 @@ class EventFit:
         return self.A_factor.solve_upper(self.W_H)
 
     @functools.cached_property
-    def Linv_T(self) -> np.ndarray:
-        # (L^{-1})^T, C-contiguous (the transpose of LAPACK's Fortran
-        # order): t^T A^{-1} t = ||t^T Linv_T||^2 is then one GEMM
-        return lapack.dtrtri(self.A_factor.lower, lower=1)[0].T
+    def Linv(self) -> np.ndarray:
+        # L^{-1}, lower and Fortran-ordered as LAPACK returns it:
+        # t^T A^{-1} t = ||L^{-1} t||^2 is then one triangular product
+        return lapack.dtrtri(self.A_factor.lower, lower=1)[0]
 
     @property
     def log_evidence(self) -> float:

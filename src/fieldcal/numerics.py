@@ -59,10 +59,15 @@ def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     hi, lo = float(a.max()), float(a.min())
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("array must not contain infs or NaNs")
-    # a - a^T is antisymmetric: its max is its largest magnitude
+    # a - a^T is antisymmetric: its max is its largest magnitude. It is
+    # taken a band of max(64, 2^16 / m) rows against the same columns at
+    # a time, so the temporary is about 2^16 entries (512 KB) or 64 rows,
+    # not a second m x m matrix; up to m = 256 that is one band
     scale = max(hi, -lo)
     if scale > 0.0:
-        asym = float((a - a.T).max())
+        rows = max(64, (1 << 16) // len(a))
+        asym = max(float((a[i:i + rows] - a[:, i:i + rows].T).max())
+                   for i in range(0, len(a), rows))
         if asym > SYMMETRY_RTOL * scale:
             raise ValueError(f"{name}: input matrix is not symmetric")
         if asym == 0.0 and a.flags.c_contiguous:

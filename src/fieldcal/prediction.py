@@ -130,6 +130,13 @@ def _mirror_upper(cov):
         cov[hi:, lo:hi] = cov[lo:hi, hi:].T
 
 
+def _whiten(ef, t_mat):
+    """L^{-1} T^T for a cross-correlation block T, overwriting T: one
+    triangular product (BLAS ``dtrmm``, half a GEMM's flops) on T^T,
+    which is Fortran-ordered because T is C-ordered."""
+    return blas.dtrmm(1.0, ef.Linv, t_mat.T, lower=1, overwrite_b=1)
+
+
 def _conditional(fit: ModelFit, event: str, targets, full_cov: bool,
                  add_noise: bool) -> PosteriorField:
     ef = fit.event(event)
@@ -164,9 +171,9 @@ def _conditional(fit: ModelFit, event: str, targets, full_cov: bool,
         t_mat, mean, r = block(slice(None))
         cov = _prior_upper(theta, loc_t, x)
         # C - T A^{-1} T^T + r B* r^T on the upper triangle, in place:
-        # T A^{-1} T^T = w w^T with w = T L^{-T}, and r B* r^T = v v^T with
-        # v^T = L_B^{-1} r^T, L_B the factor of (B*)^{-1}
-        _syrk_upper(cov, -1.0, (t_mat @ ef.Linv_T).T)
+        # T A^{-1} T^T = w w^T with w^T = L^{-1} T^T, and r B* r^T = v v^T
+        # with v^T = L_B^{-1} r^T, L_B the factor of (B*)^{-1}
+        _syrk_upper(cov, -1.0, _whiten(ef, t_mat))
         _syrk_upper(cov, 1.0, ef.Bstar_inv_factor.solve_lower(r.T))
         _mirror_upper(cov)
         cov[np.diag_indices_from(cov)] += nugget_z
@@ -187,11 +194,11 @@ def _conditional(fit: ModelFit, event: str, targets, full_cov: bool,
         for lo in range(0, n, rows):
             blk = slice(lo, lo + rows)
             t_mat, mean[blk], r = block(blk)
-            # t_i^T A^{-1} t_i = ||L^{-1} t_i||^2, one GEMM against L^{-1},
-            # and r_i B* r_i^T = ||L_B^{-1} r_i^T||^2 as in the full path
-            w = t_mat @ ef.Linv_T
+            # t_i^T A^{-1} t_i = ||L^{-1} t_i||^2, and r_i B* r_i^T =
+            # ||L_B^{-1} r_i^T||^2 as in the full path
+            w = _whiten(ef, t_mat)
             v = ef.Bstar_inv_factor.solve_lower(r.T)
-            var[blk] = (1.0 + nugget_z - np.einsum("ij,ij->i", w, w)
+            var[blk] = (1.0 + nugget_z - np.einsum("ji,ji->i", w, w)
                         + np.einsum("ji,ji->i", v, v))
         var = ef.sigma_hat2 * np.clip(var, 0.0, None) + noise
     return PosteriorField(event=event, locations=loc, intensities=x,

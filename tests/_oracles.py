@@ -222,6 +222,36 @@ def joint_conditional_oracle(theta, prior, train_loc, train_x, train_y,
     return mean, 0.5 * (cov + cov.T)
 
 
+def matern_piece_nodes_reference(pieces):
+    """(pieces, degree + 1) lags at the Chebyshev nodes of the Matern
+    table's first ``pieces`` pieces, from each piece's octave and slot
+    in it (128 slots per octave) rather than from float bits."""
+    from fieldcal.covariance import _DEGREE, _P0, _PIECE_BITS
+
+    slots = 1 << (52 - _PIECE_BITS)
+    index = _P0 + np.arange(pieces)
+    octave = np.ldexp(1.0, index // slots - 1023)
+    width = octave / slots
+    lower = octave + width * (index % slots)
+    angles = np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)
+    return lower[:, None] + 0.5 * width[:, None] * (1.0 + np.cos(angles))
+
+
+def matern_table_direct_reference(nu):
+    """The Matern table at ``nu`` fitted to ``kv`` directly at every
+    piece's Chebyshev nodes, as the table was built before it had a
+    coarse level: the same layout, about 5 x 2930 ``kv`` calls."""
+    from fieldcal.covariance import (_DEGREE, _HALF, _P0, _PIECE_BITS,
+                                     _chebyshev_interpolation, _matern_kv)
+
+    top = np.float64(max(45.0, 2.0 * nu + 45.0))
+    pieces = (int(top.view(np.int64)) >> _PIECE_BITS) - _P0 + 1
+    _, to_cheb, to_power = _chebyshev_interpolation(_DEGREE)
+    z = matern_piece_nodes_reference(pieces)
+    table = to_power @ (to_cheb @ _matern_kv(z, nu).T)
+    return table * _HALF ** -np.arange(_DEGREE + 1.0)[:, None]
+
+
 def pivoted_cholesky_reference(a):
     """Greedy-pivoted Cholesky as a step-by-step loop of rank-1 updates.
 

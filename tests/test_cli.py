@@ -133,6 +133,23 @@ def test_threshold_excluding_everything_is_a_user_error(corpus_dir):
     assert rc == 2
 
 
+def test_path_lists_read_as_one_csv_row(tmp_path):
+    def paths(text):
+        config = tmp_path / "paths.cfg"
+        config.write_text(f"stations = {text}\ngrids = {text}\n",
+                          encoding="utf-8")
+        cfg = cli.parse_config(config)
+        assert cfg.station_paths == cfg.grid_paths
+        return cfg.grid_paths
+
+    # unquoted, every comma separates, and spaces and inner quotes stay
+    for text in ("a.fg", "a.fg,b.fg", "a.fg, b.fg ,c.fg", 'x"y.fg,z.fg',
+                 "a.fg,,b.fg"):
+        assert paths(text) == tuple(text.split(","))
+    assert paths('g1.fg,"dir,2/g2.fg","g""3"".fg"') == (
+        "g1.fg", "dir,2/g2.fg", 'g"3".fg')
+
+
 def test_config_errors_exit_2(corpus_dir, tmp_path, caplog):
     rc = cli.main(["fit", "-c", str(corpus_dir / "run.cfg"),
                    "--set", "bogus_key=1"])
@@ -470,11 +487,12 @@ def test_event_id_with_inner_whitespace_round_trips(tmp_path):
     rng = np.random.default_rng(CLI_SEED)
     corpus = [synth_event(ev, rng, 45, CLI_BETA) for ev in events]
     station_path, grid_paths = write_corpus(str(tmp_path), corpus)
-    # the config's list of grids is comma-separated
-    grid_paths[1] = str(tmp_path / "grid_quoted.fg")
-    os.replace(tmp_path / f"grid_{events[1]}.fg", grid_paths[1])
+    # the second grid's path holds a comma and double quotes, so the
+    # config's comma-separated list names it quoted
+    assert grid_paths[1] == str(tmp_path / 'grid_storm, "A".fg')
+    quoted = '"' + grid_paths[1].replace('"', '""') + '"'
     config = tmp_path / "run.cfg"
-    config.write_text(f"stations = {station_path}\ngrids = {','.join(grid_paths)}\n"
+    config.write_text(f"stations = {station_path}\ngrids = {grid_paths[0]},{quoted}\n"
                       "holdout = 10\nmax_evals = 40\nsimplex_tolerance = 1e-3\n"
                       "theta0 = 0.25,0.3,4,3,1.2,0.9,8\n"
                       f"output_dir = {tmp_path}\n", encoding="utf-8")

@@ -9,10 +9,16 @@ import pytest
 from scipy.spatial.distance import squareform
 from scipy.special import kv
 
+from _oracles import matern_piece_nodes_reference, matern_table_direct_reference
+
+from fieldcal import covariance
 from fieldcal.covariance import (
     _CHUNK,
-    _PIECE,
+    _DEGREE,
+    _P0,
+    _PIECE_BITS,
     _U_LOW,
+    _matern_interpolated,
     _matern_table,
     _matern_values,
     NU_BOUNDS,
@@ -189,12 +195,16 @@ def test_matern_matches_kv_reference():
     nus = np.concatenate([
         np.geomspace(lo, hi, 61), [0.999, 1.0, 1.001, 2.0], half,
         [np.nextafter(v, d) for v in half for d in (0.0, 10.0)]])
-    # lags as multiples of z: zero, below 1e-6, both sides of every piece
-    # edge of the table band, and on past where kv underflows
-    edges = np.exp(np.arange(_U_LOW - 1.0, 5.0, _PIECE))
-    base_z = np.concatenate([
-        [0.0, 1e-300, 1e-12, 1e-8, 9e-7], edges * (1 - 1e-12),
-        edges * (1 + 1e-12), np.geomspace(1e-7, 800.0, 4000)])
+    # lags as multiples of z: zero, below 1e-6, and on past where kv
+    # underflows
+    base_z = np.concatenate([[0.0, 1e-300, 1e-12, 1e-8, 9e-7],
+                             np.geomspace(1e-7, 800.0, 4000)])
+    # every piece edge from an octave below the band to past its top for
+    # any nu, each exactly and one float below; at phi = sqrt(2 nu) the
+    # kernel's scale is exactly 1, so these lags are z bit for bit
+    edges = ((_P0 + np.arange(-128, 3200)) << _PIECE_BITS).view(np.float64)
+    assert edges[128] <= math.exp(_U_LOW) < edges[129] and edges[-1] > 150.0
+    edge_z = np.concatenate([edges, np.nextafter(edges, 0.0)])
     phi = 1.7
     worst = 0.0
     for nu in nus:
@@ -206,6 +216,10 @@ def test_matern_matches_kv_reference():
         worst = max(worst, np.max(np.abs(got - _matern_kv_reference(h, phi, nu))))
         assert got[0] == 1.0
         assert np.all(_matern_values(np.zeros((2, 3)), phi, nu) == 1.0)
+        unit = math.sqrt(2.0 * nu)
+        got = _matern_values(edge_z, unit, nu)
+        worst = max(worst, np.max(np.abs(
+            got - _matern_kv_reference(edge_z, unit, nu))))
     assert worst <= 1e-12
 
 
@@ -247,8 +261,50 @@ def test_matern_table_is_cached_and_read_only():
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 1.0
-    # degree 4 on pieces of width 1/128 over [_U_LOW, ln 47.4]
-    assert table.shape == (5, math.ceil((math.log(47.4) - _U_LOW) / _PIECE))
+    # one column per piece, from the one holding e^_U_LOW to the one
+    # holding the band's top, 2 nu + 45 = 47.4
+    top = int(np.float64(47.4).view(np.int64))
+    assert table.shape == (_DEGREE + 1, (top >> _PIECE_BITS) - _P0 + 1)
+
+
+def test_matern_in_band_lags_never_call_kv(monkeypatch):
+    calls = []
+
+    def kv_spy(z, nu):
+        calls.append(z.copy())
+        return np.zeros(z.shape)
+
+    nu = 1.2
+    _matern_table(nu)
+    monkeypatch.setattr(covariance, "_matern_kv", kv_spy)
+    # at phi = sqrt(2 nu) the lags are z; the band is [e^-12, 47.4]
+    band = np.geomspace(math.exp(_U_LOW), 47.4, 3 * _CHUNK)
+    _matern_values(band, math.sqrt(2.0 * nu), nu)
+    assert calls == []
+    # lags past the band's top, or below its bottom, reach kv alone
+    for lags, outside in (([1.0, 60.0, np.nan, np.inf], [60.0, np.nan, np.inf]),
+                          ([0.0, 1.0, 1e-6], [0.0, 1e-6])):
+        calls.clear()
+        _matern_values(np.array(lags), math.sqrt(2.0 * nu), nu)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], outside)
+
+
+def test_matern_table_matches_direct_kv_build():
+    # the two-level build (a coarse kv fit, then the fine pieces) against
+    # fitting every piece to kv directly, at each piece's Chebyshev nodes
+    worst = 0.0
+    for nu in np.geomspace(NU_BOUNDS[0], NU_BOUNDS[1], 20):
+        nu = float(nu)
+        direct = matern_table_direct_reference(nu)
+        table = _matern_table(nu)
+        assert table.shape == direct.shape
+        z = matern_piece_nodes_reference(table.shape[1]).ravel()
+        got, want = np.empty(z.size), np.empty(z.size)
+        _matern_interpolated(z, table, nu, got)
+        _matern_interpolated(z, direct, nu, want)
+        worst = max(worst, np.max(np.abs(got - want)))
+    assert worst <= 1e-13
 
 
 def test_intensity_factor_values():

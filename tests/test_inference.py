@@ -535,14 +535,15 @@ def test_prediction_terms_are_computed_on_first_use():
     rng = np.random.default_rng(63)
     ds = make_dataset(rng, 10, event="lazy")
     ef = event_statistics(ds, THETA, default_prior())
-    assert {"weights", "Ainv_H", "Linv_T"}.isdisjoint(vars(ef))
+    assert {"weights", "Ainv_H", "Linv"}.isdisjoint(vars(ef))
     assert (ef.event, ef.K) == ("lazy", 10)
     w = ef.weights
     assert ef.weights is w and "Ainv_H" not in vars(ef)
-    # (L^{-1})^T, laid out for a row-major GEMM
-    linv_t = ef.Linv_T
-    assert linv_t.flags.c_contiguous and "Linv_T" in vars(ef)
-    np.testing.assert_allclose(ef.A_factor.lower.T @ linv_t, np.eye(10),
+    # L^{-1}, lower and Fortran-ordered as BLAS dtrmm reads it
+    linv = ef.Linv
+    assert linv.flags.f_contiguous and "Linv" in vars(ef)
+    np.testing.assert_array_equal(np.triu(linv, 1), 0.0)
+    np.testing.assert_allclose(linv @ ef.A_factor.lower, np.eye(10),
                                rtol=0, atol=1e-12)
 
 

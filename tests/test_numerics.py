@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ import fieldcal
 
 from fieldcal.covariance import _matern_kv, _matern_values
 from fieldcal.numerics import (
+    SYMMETRY_RTOL,
     CholeskyFactor,
     NonFiniteObjective,
     NotPositiveDefinite,
@@ -25,6 +27,7 @@ from fieldcal.numerics import (
     cholesky,
     nelder_mead,
     pivoted_cholesky,
+    _require_symmetric,
 )
 from fieldcal.prediction import PosteriorField
 from _oracles import bessel_k_quadrature, pivoted_cholesky_reference
@@ -139,6 +142,37 @@ def test_cholesky_rejects_bad_input():
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
     with pytest.raises(NotPositiveDefinite):
         cholesky(np.array([[0.0, 0.0], [0.0, -1.0]]))  # jitter scale <= 0
+
+
+def _symmetric(m, seed):
+    g = np.random.default_rng(seed).normal(size=(m, m))
+    return g + g.T
+
+
+def test_asymmetry_in_the_last_band_raises():
+    # the check runs in bands of 65 rows at m = 1000; the last holds rows
+    # 975-999, and an entry there exceeding its mirror is found
+    a = _symmetric(1000, 21)
+    scale = np.abs(a).max()
+    assert _require_symmetric(a, "a") is not a          # exactly symmetric
+    a[995, 3] += 0.5 * SYMMETRY_RTOL * scale
+    assert _require_symmetric(a, "a") is a              # within tolerance
+    a[995, 3] += 2.0 * SYMMETRY_RTOL * scale
+    with pytest.raises(ValueError, match="not symmetric"):
+        _require_symmetric(a, "a")
+    with pytest.raises(ValueError, match="not symmetric"):
+        cholesky(a)
+
+
+def test_symmetry_check_makes_no_matrix_sized_temporary():
+    a = _symmetric(1000, 22)
+    tracemalloc.start()
+    try:
+        _require_symmetric(a, "a")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * a.nbytes
 
 
 def test_cholesky_jitter_rescues_singular_psd():
