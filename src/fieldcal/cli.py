@@ -249,6 +249,8 @@ def cmd_fit(args) -> int:
     result = fit_model(datasets, cfg.prior, cfg.optimizer, cfg.theta0)
     log.info("%d evaluations, stopped: %s", result.search.evaluations,
              "budget" if result.search.budget_exhausted else "converged")
+    log.info("%d evaluations rejected (theta out of bounds, a matrix not "
+             "positive definite or a floored sigma^2)", result.search.rejected)
     artifact = args.output or os.path.join(cfg.output_dir, "fit.out")
     save_fit(result, artifact,
              header_comments=_header(result.theta, cfg.config_hash))

@@ -8,8 +8,9 @@ The factorizations and solves call LAPACK (``dpotrf``, ``dpstrf``,
 ``dtrtrs``) directly: at the ~10^2-station size of an event, scipy's
 per-call wrappers and repeated input scans cost as much as the LAPACK
 work. Every input is still checked, each matrix in one read for scale
-and finiteness and one for symmetry. scipy's optimizer is imported
-only when :func:`nelder_mead` runs.
+and finiteness and one for symmetry. The Nelder-Mead search is in-house
+and evaluates the same points as scipy 1.17.1's, bit for bit, without
+loading ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ class OptimizerOptions:
     def __post_init__(self):
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
-        if not self.simplex_tolerance > 0.0:
-            raise ValueError("simplex_tolerance must be > 0")
+        if not 0.0 < self.simplex_tolerance < math.inf:
+            raise ValueError("simplex_tolerance must be finite and > 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -246,13 +247,91 @@ class SearchResult:
 
     ``evaluations`` counts objective calls over all restarts;
     ``budget_exhausted`` is True when a restart stopped on
-    ``max_evals`` rather than on the simplex tolerance.
+    ``max_evals`` rather than on the simplex tolerance; ``rejected``
+    counts the evaluations whose value was +inf or NaN.
     """
 
     x: np.ndarray
     fun: float
     evaluations: int
     budget_exhausted: bool
+    rejected: int
+
+
+class _BudgetSpent(Exception):
+    """A restart's evaluation budget refused another call."""
+
+
+def _restart(evaluate, sim, f_first, max_evals: int, tol: float) -> int:
+    """One restart of scipy 1.17.1's ``_minimize_neldermead`` from the
+    simplex ``sim``, as :func:`nelder_mead` would call it: ``adaptive``
+    when n > 2, ``xatol = fatol = tol``, ``maxfev = max_evals``, no
+    bounds. The centroid, trial points and re-sorts are scipy's
+    expressions, so every point evaluated is scipy's, bit for bit.
+    ``f_first``, when not None, is the value at ``sim[0]`` and counts as
+    a call. A call past ``max_evals`` ends the restart, where scipy
+    abandons the iteration and then stops. Returns the calls used.
+    """
+    n = sim.shape[1]
+    # Gao & Han's adaptive coefficients (Comput. Optim. Appl. 51, 2012),
+    # or the standard ones; the reflection coefficient is 1 in both
+    if n > 2:
+        chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    else:
+        chi, psi, sigma = 2, 0.5, 0.5
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= max_evals:
+            raise _BudgetSpent
+        calls += 1
+        return evaluate(x)
+
+    if f_first is not None:
+        fsim[0], calls = f_first, 1
+    try:
+        for k in range(calls, n + 1):
+            fsim[k] = f(sim[k])
+        # scipy sorts twice here; argsort leaves the order of ties
+        # unspecified, so the second pass is kept
+        for _ in range(2):
+            ind = np.argsort(fsim)
+            sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        while calls < max_evals:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= tol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= tol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi) * xbar - psi * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            ind = np.argsort(fsim)
+            sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    except _BudgetSpent:
+        pass
+    return calls
 
 
 def nelder_mead(objective, x0, opts: OptimizerOptions) -> SearchResult:
@@ -262,28 +341,30 @@ def nelder_mead(objective, x0, opts: OptimizerOptions) -> SearchResult:
     the simplex spread falls below ``opts.simplex_tolerance`` or after
     ``opts.max_evals`` evaluations. Deterministic for fixed
     ``(x0, opts.seed)``. The objective is called once at ``x0``: that
-    value also serves the first vertex of the first simplex. The result is
-    the first lowest point evaluated, which scipy's can miss out of budget.
+    value also serves the first vertex of the first simplex. Each restart
+    evaluates the same points as scipy 1.17.1's Nelder-Mead with the same
+    settings; NaN enters the simplex as +inf. The result is the first
+    lowest point evaluated, which scipy's own can miss when the budget
+    cuts an expansion short.
     """
-    from scipy import optimize  # only a fit searches; keep it off import
-
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.ndim != 1:
+        raise ValueError("'x0' must only have one dimension.")
     f0 = float(objective(x0))
     if not math.isfinite(f0):
         raise NonFiniteObjective("objective is not finite at the starting point")
-    first_call = [True]
-    best = [f0, x0]
+    best_f, best_x, rejected = f0, x0, 0
 
-    def guarded(x):
-        if first_call:
-            first_call.clear()
-            if np.array_equal(x, x0):
-                return f0
+    def evaluate(x):
+        nonlocal best_f, best_x, rejected
+        x = x.copy()   # the objective's own copy, as scipy's; best_x keeps it
         v = float(objective(x))
-        if v < best[0]:
-            best[:] = v, np.array(x, dtype=float)
-        # NaN would corrupt simplex ordering; +inf is rejected cleanly.
-        return math.inf if math.isnan(v) else v
+        if v < best_f:
+            best_f, best_x = v, x
+        if math.isnan(v) or v == math.inf:
+            rejected += 1
+            return math.inf
+        return v
 
     rng = np.random.default_rng(opts.seed)
     starts = [x0]
@@ -291,23 +372,14 @@ def nelder_mead(objective, x0, opts: OptimizerOptions) -> SearchResult:
         starts.append(x0 + rng.normal(scale=0.25 * (np.abs(x0) + 1.0)))
 
     evaluations, exhausted = 0, False
-    for start in starts:
+    for k, start in enumerate(starts):
         # scipy's default simplex barely perturbs zero coordinates; a
         # floored step keeps every direction searchable from the start
         steps = np.maximum(0.05 * np.abs(start), 0.25)
         simplex = np.vstack([start, start + np.diag(steps)])
-        res = optimize.minimize(
-            guarded, start, method="Nelder-Mead",
-            options={
-                "maxfev": opts.max_evals,
-                "xatol": opts.simplex_tolerance,
-                "fatol": opts.simplex_tolerance,
-                "initial_simplex": simplex,
-                "adaptive": len(start) > 2,
-                "disp": False,
-            },
-        )
-        evaluations += int(res.nfev)
-        exhausted |= res.status == 1
-    return SearchResult(x=best[1], fun=best[0], evaluations=evaluations,
-                        budget_exhausted=bool(exhausted))
+        calls = _restart(evaluate, simplex, None if k else f0,
+                         opts.max_evals, opts.simplex_tolerance)
+        evaluations += calls
+        exhausted |= calls >= opts.max_evals
+    return SearchResult(x=best_x, fun=best_f, evaluations=evaluations,
+                        budget_exhausted=exhausted, rejected=rejected)

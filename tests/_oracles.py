@@ -294,6 +294,60 @@ def pivoted_cholesky_reference(a):
     return PivotedCholeskyFactor(permutation=perm, upper=upper, rank=rank)
 
 
+def nelder_mead_scipy_reference(objective, x0, opts):
+    """The search ``numerics.nelder_mead`` runs, through scipy.
+
+    The implementation it had before its in-house simplex loop: each
+    restart is ``scipy.optimize.minimize(method="Nelder-Mead")`` from the
+    same floored simplex, ``adaptive`` when n > 2, ``xatol = fatol =
+    simplex_tolerance`` and ``maxfev = max_evals``. The start is evaluated
+    once and its value reused for scipy's first call, NaN is handed to
+    scipy as +inf, and the result is the first lowest value evaluated.
+    """
+    from scipy import optimize
+    from fieldcal.numerics import NonFiniteObjective, SearchResult
+
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    f0 = float(objective(x0))
+    if not math.isfinite(f0):
+        raise NonFiniteObjective("objective is not finite at the starting point")
+    first_call = [True]
+    best = [f0, x0]
+    rejected = [0]
+
+    def guarded(x):
+        if first_call:
+            first_call.clear()
+            if np.array_equal(x, x0):
+                return f0
+        v = float(objective(x))
+        if v < best[0]:
+            best[:] = v, np.array(x, dtype=float)
+        if math.isnan(v) or v == math.inf:
+            rejected[0] += 1
+        return math.inf if math.isnan(v) else v
+
+    rng = np.random.default_rng(opts.seed)
+    starts = [x0]
+    for _ in range(opts.restarts - 1):
+        starts.append(x0 + rng.normal(scale=0.25 * (np.abs(x0) + 1.0)))
+
+    evaluations, exhausted = 0, False
+    for start in starts:
+        steps = np.maximum(0.05 * np.abs(start), 0.25)
+        res = optimize.minimize(
+            guarded, start, method="Nelder-Mead",
+            options={"maxfev": opts.max_evals,
+                     "xatol": opts.simplex_tolerance,
+                     "fatol": opts.simplex_tolerance,
+                     "initial_simplex": np.vstack([start, start + np.diag(steps)]),
+                     "adaptive": len(start) > 2, "disp": False})
+        evaluations += int(res.nfev)
+        exhausted |= res.status == 1
+    return SearchResult(x=best[1], fun=best[0], evaluations=evaluations,
+                        budget_exhausted=bool(exhausted), rejected=rejected[0])
+
+
 def _bstar(ef):
     """B* = ((B*)^{-1})^{-1} by two solves against the identity, symmetrized."""
     bstar = ef.Bstar_inv_factor.solve(np.eye(len(ef.beta_hat)))

@@ -181,7 +181,8 @@ def test_config_errors_exit_2(corpus_dir, tmp_path, caplog):
             ("prior_B_diag=0.1,nan,1", "prior B"), ("a=nan", "prior a"),
             ("a=inf", "prior a"), ("d=nan", "prior d"),
             ("sigma_y=inf", "prior sigmaY"), ("threshold=nan", "threshold"),
-            ("threshold=inf", "threshold")):
+            ("threshold=inf", "threshold"),
+            ("simplex_tolerance=inf", "simplex_tolerance")):
         caplog.clear()
         rc = cli.main(["fit", "-c", str(corpus_dir / "run.cfg"),
                        "--set", setting, "-o", str(out)])

@@ -30,7 +30,8 @@ from fieldcal.numerics import (
     _require_symmetric,
 )
 from fieldcal.prediction import PosteriorField
-from _oracles import bessel_k_quadrature, pivoted_cholesky_reference
+from _oracles import (bessel_k_quadrature, nelder_mead_scipy_reference,
+                      pivoted_cholesky_reference)
 
 # Frozen oracle outputs (quadrature / bisection, computed once and pinned).
 K_03_07 = 0.6895624897569751          # bessel_k_quadrature(0.3, 0.7)
@@ -232,10 +233,29 @@ def test_import_leaves_the_optimizer_out():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, fieldcal, fieldcal.cli; "
-         "print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
+        [sys.executable, "-c", _SEARCH_AND_FIT], env=env, capture_output=True,
+        text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# imports the package and the CLI, runs a search and a small fit, and
+# prints whether any of it loaded scipy.optimize
+_SEARCH_AND_FIT = """
+import sys
+import numpy as np
+import fieldcal, fieldcal.cli
+from fieldcal import inference, numerics
+from fieldcal.dataio import EventDataset
+numerics.nelder_mead(lambda x: float(np.sum(x ** 2)), np.ones(3),
+                     numerics.OptimizerOptions(max_evals=50))
+rng = np.random.default_rng(5)
+x = rng.uniform(16, 40, size=12)
+ds = EventDataset("ev", rng.uniform(0, 8, size=(12, 2)), x,
+                  np.abs(0.8 * x + rng.normal(0, 4, size=12)), threshold=15.0)
+inference.fit([ds], inference.default_prior(),
+              numerics.OptimizerOptions(max_evals=20))
+print('scipy.optimize' in sys.modules)
+"""
 
 
 def test_pivoted_identity_and_diagonal():
@@ -458,11 +478,97 @@ def test_nelder_mead_evaluates_the_start_once_and_counts_every_call():
     assert len(calls) < 5000
 
 
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                        + (1.0 - x[:-1]) ** 2))
+
+
+def _walled(x):   # minimum just inside a box of +inf, as theta bounds give
+    return math.inf if np.any(np.abs(x) > 1.0) else float(np.sum((x - 0.9) ** 2))
+
+
+def _nan_region(x):
+    if x[0] < -1.0:
+        return math.nan
+    return float((x[0] - 0.5) ** 2 + (x[1] + 0.3) ** 2)
+
+
+def _terraces(x):   # flat steps: ties in the simplex and in its tests
+    return float(np.floor(4.0 * np.sum((x - [1.0, -2.0, 0.5]) ** 2)) / 4.0)
+
+
+SEARCH_CASES = (
+    (lambda x: float(np.sum([1.0, 3.0, 10.0] * (x - [1.0, -2.0, 0.5]) ** 2)),
+     np.zeros(3)),
+    (_rosenbrock, np.array([-1.2, 1.0])),
+    (_rosenbrock, np.array([-1.2, 1.0, -1.2, 1.0, -1.2, 1.0, -1.2])),
+    (_walled, np.zeros(7)),
+    (_nan_region, np.array([2.0, 1.0])),
+    (lambda x: math.inf if x[0] < -0.5 else float((x[0] + 1.0) ** 2),
+     np.array([0.5])),
+    (_terraces, np.zeros(3)),
+)
+
+
+def test_nelder_mead_matches_scipy_bit_for_bit():
+    # the in-house loop evaluates the points scipy 1.17.1's Nelder-Mead
+    # evaluates, in order and to the bit, and ends its restarts as scipy
+    # does: budgets that cut the initial simplex, the first iteration and
+    # later ones, restarts, both tolerances, NaN and +inf values, ties
+    def bits(a):
+        return np.asarray(a, dtype=float).tobytes()
+
+    for objective, x0 in SEARCH_CASES:
+        n = len(x0)
+        for max_evals in sorted({1, n, n + 1, n + 2, 15, 200, 5000}):
+            for tol in (1e-8, 1e-3):
+                for restarts in (1, 3):
+                    opts = OptimizerOptions(max_evals=max_evals, restarts=restarts,
+                                            simplex_tolerance=tol, seed=3)
+                    seen = {"ours": [], "scipy": []}
+                    results = {}
+                    for side, search in (("ours", nelder_mead),
+                                         ("scipy", nelder_mead_scipy_reference)):
+                        def recorded(x, out=seen[side]):
+                            out.append(bits(x))
+                            return objective(x)
+                        results[side] = search(recorded, x0, opts)
+                    case = (n, max_evals, tol, restarts)
+                    ours, ref = results["ours"], results["scipy"]
+                    assert seen["ours"] == seen["scipy"], case
+                    assert bits(ours.x) == bits(ref.x), case
+                    assert bits(ours.fun) == bits(ref.fun), case
+                    assert ours.evaluations == ref.evaluations == len(seen["ours"]), case
+                    assert ours.budget_exhausted is ref.budget_exhausted, case
+                    assert ours.rejected == ref.rejected, case
+
+
+def test_nelder_mead_counts_rejected_evaluations():
+    # +inf and NaN values are rejections, and finite ones are not: from
+    # a start beside a NaN region the search walks to a wall of +inf
+    values = []
+
+    def obj(x):
+        v = (math.inf if x[0] < -0.5 else math.nan if x[0] > 3.0
+             else float((x[0] + 1.0) ** 2))
+        values.append(v)
+        return v
+
+    res = nelder_mead(obj, np.array([2.9]), OptimizerOptions(max_evals=60))
+    assert math.inf in values and any(math.isnan(v) for v in values)
+    assert res.rejected == sum(not v < math.inf for v in values)
+    assert res.x[0] == pytest.approx(-0.5, abs=1e-4)
+    res = nelder_mead(lambda x: float(np.sum(x ** 2)), np.ones(2),
+                      OptimizerOptions(max_evals=60))
+    assert res.rejected == 0
+
+
 def test_optimizer_options_validation():
     with pytest.raises(ValueError):
         OptimizerOptions(max_evals=0)
-    with pytest.raises(ValueError):
-        OptimizerOptions(simplex_tolerance=0.0)
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="simplex_tolerance must be finite and > 0"):
+            OptimizerOptions(simplex_tolerance=tol)
     with pytest.raises(ValueError):
         OptimizerOptions(restarts=0)
 
