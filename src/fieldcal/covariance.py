@@ -31,7 +31,7 @@ class Hyperparameters:
     phi1, phi2 : float
         Spatial ranges along the rotated axes, > 0.
     nu1, nu2 : float
-        Matern smoothness along the rotated axes, > 0.
+        Matern smoothness along the rotated axes, in (0, 100].
     phiX : float
         Intensity range in m/s, > 0.
     """
@@ -55,6 +55,10 @@ class Hyperparameters:
         for name in ("phi1", "phi2", "nu1", "nu2", "phiX"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
+        # kv is trusted to 1e-12 up to nu = 100; Gamma(172) overflows
+        for name in ("nu1", "nu2"):
+            if getattr(self, name) > 100.0:
+                raise ValueError(f"{name} must be <= 100")
 
     def as_dict(self):
         return {
@@ -79,12 +83,16 @@ def _matern_kv(z, nu: float) -> np.ndarray:
                      under="ignore"):
         out = coef * z ** nu * kv(nu, z)
     out = np.asarray(out, dtype=float)
-    # kv overflows for tiny z at large nu (true value ~1) and the product
-    # degenerates to 0*inf far in the tail (true value ~0); z = 0 lands in
-    # the first case
+    # kv overflows at tiny z (z = 0 included), where f is 1 - q/(nu-1) +
+    # q^2/(2(nu-1)(nu-2)), q = z^2/4, to double precision (and 1 below
+    # nu = 2); far in the tail the product is 0*inf (true value ~0)
     bad = ~np.isfinite(out)
     if np.any(bad):
-        out[bad & (z < 1.0)] = 1.0
+        low = bad & (z < 1.0)
+        out[low] = 1.0
+        if nu > 2.0:
+            q = 0.25 * z[low] ** 2
+            out[low] -= q / (nu - 1.0) * (1.0 - q / (2.0 * (nu - 2.0)))
         out[bad & (z >= 1.0)] = 0.0
     return out
 
@@ -94,34 +102,33 @@ def _matern_kv(z, nu: float) -> np.ndarray:
 NU_BOUNDS = (0.05, 30.0)
 
 # General-nu Matern kernel: f(z) = 2^(1-nu)/Gamma(nu) z^nu K_nu(z) is
-# tabulated per nu as polynomials of degree _DEGREE in z on pieces that
-# a lag's IEEE-754 bits index, so no log, floor or float-to-int cast is
-# needed. bits >> _PIECE_BITS (the exponent e and the top 7 mantissa
-# bits) numbers the pieces, 128 per octave, each at most 1/128 wide in
-# u = ln z. The low _PIECE_BITS bits set under the exponent of 1.0 make
-# 1 + (z - lower edge) / 2^e; less 1 + 2^-8, that is the local variable
-# s = (z - centre) / 2^e in [-2^-8, 2^-8). Row k of a table holds each
-# piece's t^k coefficient of the Chebyshev interpolant in t = 256 s,
-# times 256^k (exact), so evaluation is Horner in s. The pieces run from
-# the one holding e^_U_LOW to the one holding max(45, 2 nu + 45): about
-# 2930 of them, 5 x 2930 coefficients (117 KB). Zero, +inf, NaN and any
-# lag outside that band index outside the table and go to kv.
-# A table is built in two levels, with about 1150 kv calls instead of 5
-# per piece: degree-8 Chebyshev fits to kv on pieces of width 1/8 in u
-# give f at each fine piece's nodes, which the fine pieces interpolate.
-# Measured max abs error against kv is 9.4e-14 over NU_BOUNDS, and the
-# values at the nodes are within 4.4e-14 of fitting every piece to kv
-# directly; a build takes about 1.5 ms on a 2-CPU x86 VM, where the
-# direct fit took about 5 ms.
+# tabulated per nu as polynomials in z on pieces that a lag's IEEE-754
+# bits index, with no log, floor or float-to-int cast. In the layout of
+# b bits, bits >> b (the exponent e and the top 52 - b mantissa bits)
+# numbers the pieces, 2^(52-b) per octave; the low b bits set under the
+# exponent of 1.0, less 1 + 2^(b-53), are s = (z - centre) / 2^e in
+# [-2^(b-53), 2^(b-53)). Row k of a table holds each piece's t^k
+# coefficient of the Chebyshev interpolant in t = s / 2^(b-53), times
+# 2^((53-b) k) (exact), so evaluation is Horner in s. The pieces run
+# from the one holding e^_U_LOW to the one holding max(45, 2 nu + 45).
+# A table is two levels of that layout: degree-8 fits to kv at 49 bits
+# (about 200 pieces, 1700 kv calls) give f at the nodes of the degree-4
+# pieces at 45 bits (about 2930, each at most 1/128 wide in ln z; 117
+# KB), and fine piece j lies inside coarse piece j >> 4. Zero, +inf,
+# NaN and lags outside the band index outside the table and go to kv.
+# Measured: max abs error 1.1e-13 against kv over NU_BOUNDS, 7.2e-14
+# against fitting every fine piece to kv at its nodes; a build takes
+# about 1.2 ms on a 2-CPU x86 VM (the direct fit, about 5 ms).
 _U_LOW = -12.0
 _DEGREE = 4
 _PIECE_BITS = 45
-_P0 = int(np.float64(math.exp(_U_LOW)).view(np.int64)) >> _PIECE_BITS
+_COARSE_DEGREE = 8
+_COARSE_BITS = 49
+_LOW_BITS = int(np.float64(math.exp(_U_LOW)).view(np.int64))
+_P0 = _LOW_BITS >> _PIECE_BITS
 _ONE_BITS = int(np.float64(1.0).view(np.int64))
 # half a piece in units of the octave's lower end
 _HALF = 2.0 ** (_PIECE_BITS - 53)
-_COARSE_DEGREE = 8
-_COARSE_PIECE = 1.0 / 8.0
 # lags per evaluation block, so temporaries do not grow with the input
 _CHUNK = 32768
 
@@ -149,45 +156,41 @@ def _chebyshev_interpolation(degree: int):
     return out
 
 
-def _piece_nodes(pieces: int) -> np.ndarray:
-    """(pieces, _DEGREE + 1) lags at the Chebyshev nodes of the first
-    ``pieces`` pieces of the table layout."""
-    edges = ((_P0 + np.arange(pieces + 1, dtype=np.int64)) << _PIECE_BITS
-             ).view(np.float64)
-    half = 0.5 * np.diff(edges)[:, None]
-    return edges[:-1, None] + half * (1.0 + _chebyshev_interpolation(_DEGREE)[0])
+def _fit_table(f, top, bits: int, degree: int) -> np.ndarray:
+    """Degree-``degree`` Chebyshev fits to ``f`` on the pieces of the
+    ``bits`` layout, from the one holding e^_U_LOW to the one holding
+    ``top``, as a (degree + 1, pieces) table in the power basis of s."""
+    first = _LOW_BITS >> bits
+    last = int(np.float64(top).view(np.int64)) >> bits
+    edges = (np.arange(first, last + 2, dtype=np.int64) << bits).view(np.float64)
+    nodes, to_cheb, to_power = _chebyshev_interpolation(degree)
+    z = edges[:-1, None] + 0.5 * np.diff(edges)[:, None] * (1.0 + nodes)
+    table = to_power @ (to_cheb @ f(z).T)
+    table *= 2.0 ** ((53 - bits) * np.arange(degree + 1.0))[:, None]
+    return table
 
 
-def _matern_coarse(z, nu: float) -> np.ndarray:
-    """The Matern kernel at the lags ``z`` from degree-8 Chebyshev fits to
-    kv on pieces of width 1/8 in u = ln z spanning [min z, max z]."""
-    u = np.log(z)
-    u_low = float(u.min())
-    pieces = max(math.ceil((float(u.max()) - u_low) / _COARSE_PIECE), 1)
-    nodes, to_cheb, _ = _chebyshev_interpolation(_COARSE_DEGREE)
-    at = u_low + _COARSE_PIECE * (np.arange(pieces)[:, None] + 0.5 * (nodes + 1.0))
-    cheb = to_cheb @ _matern_kv(np.exp(at), nu).T
-    u -= u_low
-    u *= 1.0 / _COARSE_PIECE
-    j = np.minimum(np.floor(u), pieces - 1.0)
-    t = u - j
-    t *= 2.0
-    t -= 1.0
-    j = j.astype(np.intp)
-    # Clenshaw's recurrence b_k = c_k + 2 t b_(k+1) - b_(k+2) for
-    # sum_k cheb[k, j] T_k(t)
-    b1 = cheb[_COARSE_DEGREE].take(j)
-    b2 = np.zeros_like(b1)
-    step = np.empty_like(b1)
-    for k in range(_COARSE_DEGREE - 1, 0, -1):
-        np.subtract(cheb[k].take(j), b2, out=b2)
-        np.multiply(t, b1, out=step)
-        step *= 2.0
-        b2 += step
-        b1, b2 = b2, b1
-    b1 *= t
-    b1 -= b2
-    return b1 + cheb[0].take(j)
+def _horner(z, table: np.ndarray, bits: int, out: np.ndarray) -> np.ndarray:
+    """Evaluate a table of the ``bits`` layout at the lags ``z`` (one
+    block) into ``out``; returns each lag's piece index, outside the
+    table's columns for a lag outside its band."""
+    raw = z.view(np.int64)
+    idx = raw >> bits
+    idx -= _LOW_BITS >> bits
+    s = raw & ((1 << bits) - 1)
+    s |= _ONE_BITS
+    s = s.view(np.float64)
+    s -= 1.0 + 2.0 ** (bits - 53)    # local variable in [-2^(b-53), 2^(b-53))
+    # a lag outside the band has an index outside the table, which
+    # "clip" maps to an edge piece; "clip" also skips the buffered
+    # output copy "raise" makes
+    degree = table.shape[0] - 1
+    np.take(table[degree], idx, out=out, mode="clip")
+    term = np.empty_like(out)
+    for k in range(degree - 1, -1, -1):
+        out *= s
+        out += np.take(table[k], idx, out=term, mode="clip")
+    return idx
 
 
 @functools.lru_cache(maxsize=8)
@@ -198,32 +201,24 @@ def _matern_table(nu: float) -> np.ndarray:
     one row per degree. phi only rescales z, so the table depends on nu
     alone.
     """
-    top = np.float64(max(45.0, 2.0 * nu + 45.0))
-    z = _piece_nodes((int(top.view(np.int64)) >> _PIECE_BITS) - _P0 + 1)
-    _, to_cheb, to_power = _chebyshev_interpolation(_DEGREE)
-    table = to_power @ (to_cheb @ _matern_coarse(z, nu).T)
-    table *= _HALF ** -np.arange(_DEGREE + 1.0)[:, None]
+    top = max(45.0, 2.0 * nu + 45.0)
+    coarse = _fit_table(lambda z: _matern_kv(z, nu), top, _COARSE_BITS,
+                        _COARSE_DEGREE)
+
+    def coarse_values(z):
+        out = np.empty(z.shape)
+        _horner(z, coarse, _COARSE_BITS, out)
+        return out
+
+    table = _fit_table(coarse_values, top, _PIECE_BITS, _DEGREE)
     table.flags.writeable = False
     return table
 
 
 def _matern_interpolated(z, table: np.ndarray, nu: float, out: np.ndarray):
-    """Evaluate a Matern table at the lags ``z`` (one block) into ``out``."""
-    bits = z.view(np.int64)
-    idx = bits >> _PIECE_BITS
-    idx -= _P0
-    s = bits & ((1 << _PIECE_BITS) - 1)
-    s |= _ONE_BITS
-    s = s.view(np.float64)
-    s -= 1.0 + _HALF            # local variable in [-2^-8, 2^-8)
-    # a lag outside the band has an index outside the table, which
-    # "clip" maps to an edge piece before kv replaces its value; "clip"
-    # also skips the buffered output copy "raise" makes
-    np.take(table[_DEGREE], idx, out=out, mode="clip")
-    term = np.empty_like(out)
-    for k in range(_DEGREE - 1, -1, -1):
-        out *= s
-        out += np.take(table[k], idx, out=term, mode="clip")
+    """Evaluate a Matern table at the lags ``z`` (one block) into ``out``;
+    lags outside its band go to kv."""
+    idx = _horner(z, table, _PIECE_BITS, out)
     if idx.min() < 0 or idx.max() >= table.shape[1]:
         outside = np.flatnonzero((idx < 0) | (idx >= table.shape[1]))
         out[outside] = _matern_kv(z[outside], nu)

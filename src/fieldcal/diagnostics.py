@@ -92,6 +92,8 @@ def semivariogram(fit: ModelFit, event: str, variable: str, bins: int,
     """
     if bins < 3:
         raise ValueError("bins must be >= 3")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     ef = fit.event(event)
     theta = fit.theta
     columns = {"h1": ef.locations_rot[:, 0], "h2": ef.locations_rot[:, 1],

@@ -642,6 +642,30 @@ def test_variogram_bin_count_is_a_config_error(corpus_dir, fitted, tmp_path,
     assert "internal error" not in caplog.text
 
 
+def test_smoothness_above_100_is_a_user_error(corpus_dir, fitted, tmp_path,
+                                              caplog, capsys):
+    # the kernel is not trusted past nu = 100 (at 172 Gamma(nu) overflows)
+    lines = _read(fitted).decode().splitlines(keepends=True)
+    row = next(i for i, l in enumerate(lines) if l.startswith("theta "))
+    theta = lines[row].split()
+    theta[5] = "200"
+    lines[row] = " ".join(theta) + "\n"
+    bad = tmp_path / "nu200.out"
+    bad.write_text("".join(lines))
+    rc = cli.main(["variogram", "-f", str(bad), "-e", "ev00",
+                   "-o", str(tmp_path)])
+    assert rc == 2
+    assert "ArtifactError" in caplog.text and "nu1 must be <= 100" in caplog.text
+    caplog.clear()
+    rc = cli.main(["fit", "-c", str(corpus_dir / "run.cfg"), "--set",
+                   "theta0=0,0.1,1,1,1,200,1", "-o", str(tmp_path / "f.out")])
+    assert rc == 2
+    assert "ConfigError: nu2 must be <= 100" in caplog.text
+    assert "internal error" not in caplog.text
+    assert "Traceback" not in caplog.text + "".join(capsys.readouterr())
+    assert not (tmp_path / "variogram_ev00_h1.csv").exists()
+
+
 def test_variogram_deterministic_output(corpus_dir, fitted, tmp_path):
     argv = ["variogram", "-f", str(fitted), "-e", "ev00", "--var", "h1",
             "--bins", "5", "--seed", "3", "-o", str(tmp_path)]

@@ -14,6 +14,7 @@ from _oracles import matern_piece_nodes_reference, matern_table_direct_reference
 from fieldcal import covariance
 from fieldcal.covariance import (
     _CHUNK,
+    _COARSE_BITS,
     _DEGREE,
     _P0,
     _PIECE_BITS,
@@ -126,6 +127,13 @@ def test_matern_domain_errors():
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError, match=f"{name} must be > 0"):
                 Hyperparameters(**{**good, name: bad})
+    # kv loses accuracy above about 130, and from 172 Gamma(nu)
+    # overflows; 100 is the checked limit
+    for name in ("nu1", "nu2"):
+        Hyperparameters(**{**good, name: 100.0})
+        for bad in (100.5, 200.0, 1e4):
+            with pytest.raises(ValueError, match=f"{name} must be <= 100"):
+                Hyperparameters(**{**good, name: bad})
 
 
 def test_matern_zero_lag_is_one():
@@ -223,6 +231,21 @@ def test_matern_matches_kv_reference():
     assert worst <= 1e-12
 
 
+def test_matern_kv_fallback_where_kv_overflows():
+    # from nu ~ 40 kv overflows at lags where f is not yet 1 in double
+    # precision (at nu = 100, below z = 0.066); on both sides of that
+    # edge the kernel must follow f's series, sum_k (-q)^k / (k!
+    # (nu-1)...(nu-k)) with q = z^2/4, here to 8 terms
+    z = np.geomspace(1e-4, 0.5, 2000)
+    for nu in (45.0, 60.0, 100.0):
+        term, series = np.ones(z.size), np.ones(z.size)
+        for k in range(1, 8):
+            term *= -0.25 * z ** 2 / (k * (nu - k))
+            series += term
+        got = _matern_values(z, math.sqrt(2.0 * nu), nu)
+        assert np.max(np.abs(got - series)) <= 1e-12, nu
+
+
 def test_matern_non_finite_lags():
     # NaN stays NaN on every path (tabulated, closed form, kv) and +inf
     # gives 0; a NaN lag never yields a finite value
@@ -293,9 +316,18 @@ def test_matern_in_band_lags_never_call_kv(monkeypatch):
 def test_matern_table_matches_direct_kv_build():
     # the two-level build (a coarse kv fit, then the fine pieces) against
     # fitting every piece to kv directly, at each piece's Chebyshev nodes
+    lo, hi = NU_BOUNDS
+    # and at each nu whose band top 2 nu + 45 is a coarse piece edge
+    # (1.5, 3.5, ..., 29.5), and one float either side
+    coarse = np.float64(45.0).view(np.int64) >> _COARSE_BITS
+    tops = (np.arange(coarse, coarse + 12) << _COARSE_BITS).view(np.float64)
+    edge_nus = [float(v) for v in 0.5 * (tops - 45.0) if lo <= v <= hi]
+    assert edge_nus[0] == 1.5 and edge_nus[-1] == 29.5
+    nus = [float(v) for v in np.geomspace(lo, hi, 20)] + [
+        v for nu in edge_nus
+        for v in (np.nextafter(nu, 0.0), nu, np.nextafter(nu, 99.0))]
     worst = 0.0
-    for nu in np.geomspace(NU_BOUNDS[0], NU_BOUNDS[1], 20):
-        nu = float(nu)
+    for nu in nus:
         direct = matern_table_direct_reference(nu)
         table = _matern_table(nu)
         assert table.shape == direct.shape

@@ -390,6 +390,9 @@ def test_semivariogram_errors():
         semivariogram(mf, "ev", "h3", bins=4)
     with pytest.raises(ValueError):
         semivariogram(mf, "ev", "h1", bins=2)
+    for reps in (0, -3):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            semivariogram(mf, "ev", "h1", bins=4, reps=reps)
     # 4 collinear equally spaced points: 6 pairs cannot fill 10 bins
     loc = np.column_stack([np.arange(4.0), np.zeros(4)])
     small = EventDataset("ev", loc, np.full(4, 20.0) + np.arange(4),
