@@ -113,6 +113,10 @@ class EventDataset:
     def __post_init__(self):
         if len(self.x) == 0:
             raise EmptyDataset(f"event {self.event}: no pairs above threshold")
+        # checked once here, so the fit can trust the matrices built from them
+        for name in ("locations", "x", "y"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"event {self.event}: {name} must be finite")
         if not np.all(self.x > self.threshold):
             raise ValueError("all simulated values must exceed the threshold")
         if not (len(self.locations) == len(self.x) == len(self.y)):

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.spatial.distance import pdist
 
-from .covariance import smooth_correlation
+from .covariance import pair_lags, smooth_correlation
 from .dataio import EventDataset
 from .inference import ModelFit
 from .numerics import pivoted_cholesky
@@ -100,10 +99,10 @@ def semivariogram(fit: ModelFit, event: str, variable: str, bins: int,
                "delta_intensity": ef.x}
     if variable not in columns:
         raise ValueError(f"binning variable must be one of {BIN_VARIABLES}")
-    v = pdist(columns[variable][:, None], "cityblock")
+    v = pair_lags(columns[variable])
     edges, idx, counts = _bin_assignment(v, bins)
     e = ef.y - ef.H @ ef.beta_hat
-    emp_pairs = 0.5 * pdist(e[:, None], "cityblock") ** 2
+    emp_pairs = 0.5 * pair_lags(e) ** 2
     # every pair's smooth correlation, in the same condensed order as v
     smooth = smooth_correlation(theta, ef.locations_rot, ef.x)
     model_pairs = ef.sigma_hat2 * (1.0 + theta.lambda2 - smooth)
@@ -118,7 +117,7 @@ def semivariogram(fit: ModelFit, event: str, variable: str, bins: int,
     sims = np.empty((reps, bins))
     for r in range(reps):
         e_star = lower_factor @ rng.standard_normal(ef.K)
-        sims[r] = _bin_means(0.5 * pdist(e_star[:, None], "cityblock") ** 2,
+        sims[r] = _bin_means(0.5 * pair_lags(e_star) ** 2,
                              idx, bins, counts)
     lower = np.quantile(sims, 0.025, axis=0)
     upper = np.quantile(sims, 0.975, axis=0)

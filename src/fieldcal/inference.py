@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .covariance import (NU_BOUNDS, Hyperparameters, correlation_matrix_arrays,
+from .covariance import (NU_BOUNDS, Hyperparameters, _correlation_upper,
                          rotate_array)
 from .dataio import EventDataset, _write_text
 from .numerics import (CholeskyFactor, NonFiniteObjective, NotPositiveDefinite,
-                       OptimizerOptions, SearchResult, cholesky, nelder_mead)
+                       OptimizerOptions, SearchResult, _cholesky_in_place,
+                       cholesky, nelder_mead)
 
 log = logging.getLogger(__name__)
 
@@ -207,12 +208,16 @@ def event_statistics(dataset: EventDataset, theta: Hyperparameters,
             f"q={prior.q} coefficients")
     h = basis_matrix(dataset.x, prior.q)
     loc_t = rotate_array(dataset.locations, theta.omega)
-    a_factor = cholesky(correlation_matrix_arrays(theta, loc_t, dataset.x))
+    # both matrices are built exactly symmetric and factored in the
+    # buffer they are built in; the dataset's values are finite
+    a_factor = _cholesky_in_place(
+        lambda: _correlation_upper(theta, loc_t, dataset.x))
     w = a_factor.solve_lower(np.column_stack([dataset.y, h]))
     w_y, w_h = w[:, 0], w[:, 1:]
     binv, binv_b = prior._precision
     bstar_inv = binv + w_h.T @ w_h
-    bstar_inv_factor = cholesky(0.5 * (bstar_inv + bstar_inv.T))
+    bstar_inv_factor = _cholesky_in_place(
+        lambda: 0.5 * (bstar_inv + bstar_inv.T))
     beta_hat = bstar_inv_factor.solve(binv_b + w_h.T @ w_y)
     resid_w = w_y - w_h @ beta_hat
     db = beta_hat - prior.b
@@ -332,6 +337,8 @@ def fit(datasets, prior: PriorSpec, opts: OptimizerOptions,
 
     # (value, z, updates) of the lowest evaluation, which the search returns
     best = [math.inf, None, ()]
+    # event updates built, and how many of them needed the jitter retry
+    updates = [0, 0]
 
     def objective(z):
         z, kept = np.array(z, dtype=float), []
@@ -339,6 +346,9 @@ def fit(datasets, prior: PriorSpec, opts: OptimizerOptions,
         if theta is None:
             return math.inf
         lp = log_posterior_theta(datasets, theta, prior, keep=kept)
+        updates[0] += len(kept)
+        updates[1] += sum(ef.A_factor.jitter > 0.0
+                          or ef.Bstar_inv_factor.jitter > 0.0 for ef in kept)
         if math.isfinite(lp) and -lp < best[0]:
             best[:] = -lp, z, tuple(kept)
         return -lp if math.isfinite(lp) else math.inf
@@ -348,6 +358,8 @@ def fit(datasets, prior: PriorSpec, opts: OptimizerOptions,
     except NonFiniteObjective:
         raise OptimizationFailed(
             "objective is not finite at the starting hyperparameters") from None
+    log.debug("%d of %d event updates in the search needed the jitter retry",
+              updates[1], updates[0])
     theta_hat = _unpack(search.x)
     if theta_hat is None or not math.isfinite(search.fun):
         raise OptimizationFailed("optimizer did not find a finite optimum")

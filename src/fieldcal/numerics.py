@@ -7,10 +7,13 @@ arguments and safe to call concurrently.
 The factorizations and solves call LAPACK (``dpotrf``, ``dpstrf``,
 ``dtrtrs``) directly: at the ~10^2-station size of an event, scipy's
 per-call wrappers and repeated input scans cost as much as the LAPACK
-work. Every input is still checked, each matrix in one read for scale
-and finiteness and one for symmetry. The Nelder-Mead search is in-house
-and evaluates the same points as scipy 1.17.1's, bit for bit, without
-loading ``scipy.optimize``.
+work. The public entry points check every input, each matrix in one
+read for scale and finiteness and one for symmetry. The private
+:func:`_cholesky_in_place`, which the fit's event update calls, trusts a
+matrix its caller built symmetric and factors it in its own buffer, with
+no check and no copy. The Nelder-Mead search is in-house and evaluates
+the same points as scipy 1.17.1's, bit for bit, without loading
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -96,10 +99,11 @@ def _solve_triangular(t, b, lower: int, trans: int = 0):
     return x
 
 
-def _potrf(a):
+def _potrf(a, overwrite: int):
     """``dpotrf`` lower factor with its upper triangle zeroed, or None when
-    a leading minor is not positive definite."""
-    lower, info = lapack.dpotrf(a, lower=1, clean=1)
+    a leading minor is not positive definite. With ``overwrite`` set, a
+    Fortran-ordered ``a`` is factored in place."""
+    lower, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=overwrite)
     if info < 0:
         raise ValueError(f"dpotrf: illegal value in argument {-info}")
     return None if info else lower
@@ -110,12 +114,15 @@ class CholeskyFactor:
     """Lower-triangular Cholesky factor with its log-determinant.
 
     ``lower`` is the Fortran-ordered array ``dpotrf`` returns, so the
-    ``dtrtrs`` solves (and ``dtrtri``) read it in place. A right-hand
-    side that is not finite raises ``ValueError``.
+    ``dtrtrs`` solves (and ``dtrtri``) read it in place. ``jitter`` is
+    what the single retry added to the diagonal, 0.0 when the plain
+    factorization succeeded. A right-hand side that is not finite raises
+    ``ValueError``.
     """
 
     lower: np.ndarray
     logdet: float
+    jitter: float = 0.0
 
     def solve(self, b):
         """Solve A x = b through the factor (two triangular solves)."""
@@ -130,27 +137,47 @@ class CholeskyFactor:
         return _solve_triangular(self.lower, w, lower=1, trans=1)
 
 
+def _cholesky_retry(build, overwrite: int) -> CholeskyFactor:
+    """Factor the matrix ``build()`` returns, whose lower triangle
+    ``dpotrf`` reads. If that fails, a single additive jitter of
+    ``1e-8 * trace/n`` is tried on a second ``build()`` (a failed factor
+    in place has overwritten the first) before raising
+    :class:`NotPositiveDefinite`."""
+    a = build()
+    lower, jitter = _potrf(a, overwrite), 0.0
+    if lower is None:
+        a = build()
+        n = a.shape[0]
+        jitter = JITTER_RTOL * np.trace(a) / n
+        if jitter <= 0.0:
+            raise NotPositiveDefinite("matrix is not positive definite")
+        lower = _potrf(a + jitter * np.eye(n), overwrite)
+        if lower is None:
+            raise NotPositiveDefinite(
+                "matrix is not positive definite (even after jitter)")
+    logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
+    return CholeskyFactor(lower=lower, logdet=logdet, jitter=float(jitter))
+
+
 def cholesky(a) -> CholeskyFactor:
     """Factor a symmetric positive-definite matrix as L L^T.
 
     If the plain factorization fails, a single additive jitter of
     ``1e-8 * trace(a)/n`` is tried before raising
-    :class:`NotPositiveDefinite`. A non-finite or non-symmetric input
-    raises ``ValueError``.
+    :class:`NotPositiveDefinite`; the factor records it. A non-finite or
+    non-symmetric input raises ``ValueError``. ``a`` is not modified.
     """
     a = _require_symmetric(a, "cholesky")
-    lower = _potrf(a)
-    if lower is None:
-        n = a.shape[0]
-        jitter = JITTER_RTOL * np.trace(a) / n
-        if jitter <= 0.0:
-            raise NotPositiveDefinite("matrix is not positive definite")
-        lower = _potrf(a + jitter * np.eye(n))
-        if lower is None:
-            raise NotPositiveDefinite(
-                "matrix is not positive definite (even after jitter)")
-    logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
-    return CholeskyFactor(lower=lower, logdet=logdet)
+    return _cholesky_retry(lambda: a, overwrite=0)
+
+
+def _cholesky_in_place(build) -> CholeskyFactor:
+    """:func:`cholesky` of the symmetric matrix that ``build()`` writes on
+    the diagonal and upper triangle of a fresh C-ordered buffer and
+    returns, trusted as it is: no check reads it and its lower triangle
+    is never read. ``dpotrf`` factors the buffer's Fortran-ordered
+    transpose in place, so the factor's ``lower`` is that buffer."""
+    return _cholesky_retry(lambda: build().T, overwrite=1)
 
 
 @dataclass(frozen=True)

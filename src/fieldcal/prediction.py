@@ -29,7 +29,7 @@ from .numerics import pivoted_cholesky
 # degrees of freedom above which Gaussian quantiles replace Student-t
 GAUSSIAN_DF = 30
 # most targets a full-covariance posterior may have: it builds one dense
-# n x n matrix (190 MiB at the limit, where its peak is 1.55 of them)
+# n x n matrix (190 MiB at the limit, where its peak is 1.05 of them)
 FULL_COV_MAX_TARGETS = 5000
 
 
@@ -97,15 +97,17 @@ class PosteriorField:
 
 def _prior_upper(theta, loc_t, x) -> np.ndarray:
     """m x m buffer holding the targets' smooth correlation on its strict
-    upper triangle and 1 on its diagonal; the lower triangle is unset.
-    The condensed pairs are freed on return, before the conditioning."""
-    condensed = smooth_correlation(theta, loc_t, x)
+    upper triangle and 1 on its diagonal; nothing below the diagonal is
+    meant to be read. It is filled a block of rows at a time, each the
+    cross block of those rows against themselves and every later target,
+    so no temporary grows with m^2."""
     m = len(x)
     cov = np.empty((m, m))
-    k = 0
-    for i in range(m - 1):
-        cov[i, i + 1:] = condensed[k:k + m - 1 - i]
-        k += m - 1 - i
+    rows = max(_CHUNK // max(m, 1), 1)
+    for lo in range(0, m, rows):
+        hi = lo + rows
+        cov[lo:hi, lo:] = smooth_correlation(theta, loc_t[lo:hi], x[lo:hi],
+                                             loc_t[lo:], x[lo:])
     np.fill_diagonal(cov, 1.0)
     return cov
 

@@ -222,6 +222,33 @@ def joint_conditional_oracle(theta, prior, train_loc, train_x, train_y,
     return mean, 0.5 * (cov + cov.T)
 
 
+def smooth_correlation_scipy_reference(theta, loc_a, x_a, loc_b=None,
+                                       x_b=None):
+    """``smooth_correlation`` with its lags from ``scipy.spatial.distance``:
+    1-D cityblock ``pdist`` for the pairs within ``a`` (condensed order),
+    ``cdist`` for a cross block."""
+    from scipy.spatial.distance import cdist, pdist
+    from fieldcal.covariance import _matern_values
+
+    def columns(loc, x):
+        return np.column_stack([np.atleast_2d(np.asarray(loc, dtype=float)),
+                                np.atleast_1d(np.asarray(x, dtype=float))])
+
+    a = columns(loc_a, x_a)
+    if loc_b is None:
+        def lags(k):
+            return pdist(a[:, k:k + 1], "cityblock")
+    else:
+        b = columns(loc_b, x_b)
+
+        def lags(k):
+            return cdist(a[:, k:k + 1], b[:, k:k + 1], "cityblock")
+    c = _matern_values(lags(0), theta.phi1, theta.nu1)
+    c *= _matern_values(lags(1), theta.phi2, theta.nu2)
+    c *= np.exp(-(lags(2) / theta.phiX) ** 2)
+    return c
+
+
 def matern_piece_nodes_reference(pieces):
     """(pieces, degree + 1) lags at the Chebyshev nodes of the Matern
     table's first ``pieces`` pieces, from each piece's octave and slot

@@ -729,6 +729,24 @@ def test_corrupt_artifact_is_user_error(corpus_dir, fitted, tmp_path):
     assert rc == 2
 
 
+def test_non_finite_artifact_data_is_a_user_error(corpus_dir, fitted,
+                                                 tmp_path, caplog):
+    # an infinite coordinate in a stored data row names its column
+    lines = _read(fitted).decode().splitlines(keepends=True)
+    row = next(i for i, l in enumerate(lines) if l.startswith("sigma2 ")) + 1
+    values = lines[row].split()
+    values[1] = "inf"
+    lines[row] = " ".join(values) + "\n"
+    bad = tmp_path / "inf.out"
+    bad.write_text("".join(lines))
+    rc = cli.main(["predict", "-f", str(bad), "-e", "ev00",
+                   "--points", str(corpus_dir / "targets.csv"),
+                   "-o", str(tmp_path)])
+    assert rc == 2
+    assert "ArtifactError" in caplog.text
+    assert "locations must be finite" in caplog.text
+
+
 def test_no_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         cli.main([])

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import squareform
+from scipy.spatial.distance import pdist, squareform
 from scipy.special import kv
 
-from _oracles import matern_piece_nodes_reference, matern_table_direct_reference
+from _oracles import (matern_piece_nodes_reference,
+                      matern_table_direct_reference,
+                      smooth_correlation_scipy_reference)
 
 from fieldcal import covariance
 from fieldcal.covariance import (
@@ -19,6 +21,7 @@ from fieldcal.covariance import (
     _P0,
     _PIECE_BITS,
     _U_LOW,
+    _correlation_upper,
     _matern_interpolated,
     _matern_table,
     _matern_values,
@@ -26,6 +29,7 @@ from fieldcal.covariance import (
     Hyperparameters,
     correlation_block,
     correlation_matrix_arrays,
+    pair_lags,
     rotate_array,
     smooth_correlation,
 )
@@ -313,19 +317,22 @@ def test_matern_in_band_lags_never_call_kv(monkeypatch):
         np.testing.assert_array_equal(calls[0], outside)
 
 
-def test_matern_table_matches_direct_kv_build():
-    # the two-level build (a coarse kv fit, then the fine pieces) against
-    # fitting every piece to kv directly, at each piece's Chebyshev nodes
+def _edge_nus():
+    """The nu in NU_BOUNDS whose band top 2 nu + 45 is a coarse piece edge
+    (1.5, 3.5, ..., 29.5), and one float either side of each."""
     lo, hi = NU_BOUNDS
-    # and at each nu whose band top 2 nu + 45 is a coarse piece edge
-    # (1.5, 3.5, ..., 29.5), and one float either side
     coarse = np.float64(45.0).view(np.int64) >> _COARSE_BITS
     tops = (np.arange(coarse, coarse + 12) << _COARSE_BITS).view(np.float64)
     edge_nus = [float(v) for v in 0.5 * (tops - 45.0) if lo <= v <= hi]
     assert edge_nus[0] == 1.5 and edge_nus[-1] == 29.5
-    nus = [float(v) for v in np.geomspace(lo, hi, 20)] + [
-        v for nu in edge_nus
-        for v in (np.nextafter(nu, 0.0), nu, np.nextafter(nu, 99.0))]
+    return [v for nu in edge_nus
+            for v in (np.nextafter(nu, 0.0), nu, np.nextafter(nu, 99.0))]
+
+
+def test_matern_table_matches_direct_kv_build():
+    # the two-level build (a coarse kv fit, then the fine pieces) against
+    # fitting every piece to kv directly, at each piece's Chebyshev nodes
+    nus = [float(v) for v in np.geomspace(*NU_BOUNDS, 20)] + _edge_nus()
     worst = 0.0
     for nu in nus:
         direct = matern_table_direct_reference(nu)
@@ -337,6 +344,77 @@ def test_matern_table_matches_direct_kv_build():
         _matern_interpolated(z, direct, nu, want)
         worst = max(worst, np.max(np.abs(got - want)))
     assert worst <= 1e-13
+
+
+def test_matern_coarse_table_covers_every_fine_node(monkeypatch):
+    # every fine node is read from a piece inside the coarse table. A
+    # coarse table one piece short of the band top would extrapolate its
+    # last piece there, where the kernel is below 1e-19: no absolute
+    # error bound can see that, so the piece indices are checked
+    horner, reads = covariance._horner, []
+
+    def spy(z, table, bits, out):
+        idx = horner(z, table, bits, out)
+        if bits == _COARSE_BITS:
+            reads.append((int(idx.min()), int(idx.max()), table.shape[1]))
+        return idx
+
+    monkeypatch.setattr(covariance, "_horner", spy)
+    nus = [float(v) for v in np.geomspace(*NU_BOUNDS, 7)] + _edge_nus()
+    for nu in nus:
+        _matern_table.__wrapped__(nu)
+    assert len(reads) == len(nus)
+    for (lo, hi, pieces), nu in zip(reads, nus):
+        assert 0 <= lo and hi < pieces, nu
+
+
+# point-set sizes for the lag checks: the empty and smallest condensed
+# vectors, an odd size, the event sizes the bench uses and a large one
+LAG_SIZES = (1, 2, 3, 17, 170, 200, 1000)
+
+
+def _lag_points(rng, n):
+    """n rotated records with a duplicated record and signed zeros."""
+    loc = rng.uniform(-6.0, 6.0, size=(n, 2))
+    x = rng.uniform(16.0, 40.0, size=n)
+    loc[n // 2], x[n // 2] = loc[0], x[0]
+    loc[-1] = (-0.0, 0.0)
+    loc[(n - 1) // 3] = (0.0, -0.0)
+    return loc, x
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got.view(np.uint64), want.view(np.uint64)))
+
+
+def test_lags_match_scipy_bit_for_bit():
+    # numpy lags against scipy.spatial's: pairs within a set in pdist's
+    # condensed order, cross blocks as cdist's, matrices as squareform's,
+    # at the closed-form, tabulated and kv kernels
+    rng = np.random.default_rng(181)
+    thetas = (THETA, dataclasses.replace(THETA, nu1=0.5, nu2=2.5),
+              dataclasses.replace(THETA, nu1=1.5, nu2=40.0))
+    for n in LAG_SIZES:
+        loc, x = _lag_points(rng, n)
+        loc_b, x_b = _lag_points(rng, 160)
+        for v in (loc[:, 0], loc[:, 1], x):
+            assert _same_bits(pair_lags(v), pdist(v[:, None], "cityblock"))
+        for theta in thetas:
+            want = smooth_correlation_scipy_reference(theta, loc, x)
+            assert _same_bits(smooth_correlation(theta, loc, x), want), n
+            full = squareform(want)
+            np.fill_diagonal(full, 1.0 + theta.lambda2)
+            assert _same_bits(correlation_matrix_arrays(theta, loc, x), full)
+            upper = _correlation_upper(theta, loc, x)
+            iu = np.triu_indices(n)
+            assert _same_bits(upper[iu], full[iu])
+            assert _same_bits(
+                correlation_block(theta, loc, x, loc_b, x_b),
+                smooth_correlation_scipy_reference(theta, loc, x, loc_b, x_b))
+            assert _same_bits(
+                smooth_correlation(theta, loc_b, x_b, loc, x),
+                smooth_correlation_scipy_reference(theta, loc_b, x_b, loc, x))
 
 
 def test_intensity_factor_values():

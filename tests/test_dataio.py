@@ -2,6 +2,7 @@
 thresholding, holdout splitting."""
 
 import logging
+import math
 import re
 import tracemalloc
 
@@ -591,6 +592,20 @@ def test_event_dataset_validation():
     with pytest.raises(ValueError):
         EventDataset("e", np.zeros((2, 2)), np.array([16.0, 17.0]),
                      np.array([1.0]), threshold=15.0)  # length mismatch
+
+
+def test_event_dataset_rejects_non_finite_values():
+    # checked once when the dataset is built: the fit factors matrices
+    # built from these values without reading them again
+    good = dict(locations=np.zeros((3, 2)), x=np.array([16.0, 17.0, 18.0]),
+                y=np.array([1.0, 2.0, 3.0]))
+    EventDataset("e", threshold=15.0, **good)
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            values = {k: v.copy() for k, v in good.items()}
+            values[name].flat[-1] = bad
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                EventDataset("e", threshold=15.0, **values)
 
 
 def test_holdout_split_deterministic_partition():

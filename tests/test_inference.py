@@ -235,18 +235,77 @@ def test_log_posterior_matches_quadrature_evidence_ratio():
     assert delta_prod == pytest.approx(log_ev[0] - log_ev[1], abs=5e-6)
 
 
-def test_duplicated_records_survive_via_jitter():
-    # duplicated records with a zero nugget make A exactly singular; the
-    # single-shot jitter rescue keeps the objective finite
+def _duplicated_records():
+    # two identical records with a zero nugget make A exactly singular
     loc = np.array([[1.0, 1.0], [1.0, 1.0], [4.0, 5.0], [2.0, 3.0]])
     x = np.array([20.0, 20.0, 25.0, 30.0])
     y = np.array([18.0, 19.0, 22.0, 28.0])
-    ds = EventDataset("e", loc, x, y, threshold=15.0)
-    theta0 = Hyperparameters(omega=0.0, lambda2=0.0, phi1=2.0, phi2=2.0,
-                             nu1=1.0, nu2=1.0, phiX=8.0)
+    theta = Hyperparameters(omega=0.0, lambda2=0.0, phi1=2.0, phi2=2.0,
+                            nu1=1.0, nu2=1.0, phiX=8.0)
+    return EventDataset("e", loc, x, y, threshold=15.0), theta
+
+
+def test_duplicated_records_survive_via_jitter():
+    # the single-shot jitter rescue keeps the objective finite
+    ds, theta0 = _duplicated_records()
     prior = PriorSpec(b=[0.0], B=[[1.0]], basis_degree=0)
     lp = log_posterior_theta([ds], theta0, prior)
     assert math.isfinite(lp)
+
+
+def test_event_update_factor_matches_the_public_one(monkeypatch):
+    # the update factors the buffer its matrix was built in, with the
+    # public cholesky's numbers, bit for bit; the jitter retry rebuilds
+    # the matrix, as the failed factor has overwritten the first buffer
+    import fieldcal.inference as inf
+    from fieldcal import covariance
+    from fieldcal.numerics import cholesky
+
+    built = []
+
+    def spy(*args):
+        built.append(covariance._correlation_upper(*args))
+        return built[-1]
+
+    monkeypatch.setattr(inf, "_correlation_upper", spy)
+    rng = np.random.default_rng(191)
+    dup, dup_theta = _duplicated_records()
+    prior = PriorSpec(b=[0.0], B=[[1.0]], basis_degree=0)
+    for ds, theta, builds in ((make_dataset(rng, 40), THETA, 1),
+                              (dup, dup_theta, 2)):
+        built.clear()
+        ef = event_statistics(ds, theta, prior)
+        assert len(built) == builds
+        want = cholesky(correlation_matrix_arrays(
+            theta, rotate_array(ds.locations, theta.omega), ds.x))
+        got = ef.A_factor
+        assert np.array_equal(got.lower.view(np.uint64),
+                              want.lower.view(np.uint64))
+        assert (got.logdet, got.jitter) == (want.logdet, want.jitter)
+        assert np.shares_memory(got.lower, built[-1]) == (builds == 1)
+    assert want.jitter > 0.0
+
+
+def test_fit_logs_the_jitter_retries(monkeypatch, caplog):
+    import dataclasses
+    import logging
+    import fieldcal.inference as inf
+
+    rng = np.random.default_rng(193)
+    datasets = [make_dataset(rng, 12, event=f"ev{k}") for k in range(2)]
+    opts = OptimizerOptions(max_evals=6)
+    caplog.set_level(logging.DEBUG, logger="fieldcal.inference")
+    inf.fit(datasets, default_prior(), opts, theta0=THETA)
+    assert "0 of 12 event updates in the search needed the jitter retry" \
+        in caplog.text
+    # every factor flagged as retried: each update counts once
+    factor = inf._cholesky_in_place
+    monkeypatch.setattr(inf, "_cholesky_in_place", lambda build: dataclasses.replace(
+        factor(build), jitter=1e-9))
+    caplog.clear()
+    inf.fit(datasets, default_prior(), opts, theta0=THETA)
+    assert "12 of 12 event updates in the search needed the jitter retry" \
+        in caplog.text
 
 
 def test_factorization_failure_gives_neg_inf(monkeypatch):
@@ -256,7 +315,7 @@ def test_factorization_failure_gives_neg_inf(monkeypatch):
     def boom(*args, **kwargs):
         raise NotPositiveDefinite("forced")
 
-    monkeypatch.setattr(inf, "cholesky", boom)
+    monkeypatch.setattr(inf, "_cholesky_in_place", boom)
     rng = np.random.default_rng(67)
     ds = make_dataset(rng, 6)
     assert inf.log_posterior_theta([ds], THETA, default_prior()) == -math.inf
@@ -699,6 +758,28 @@ def test_artifact_with_non_finite_theta_is_rejected(tmp_path):
         for token in ("nan", "inf", "-inf"):
             parts = lines[at].split()
             parts[field] = token
+            path.write_text("\n".join(lines[:at] + [" ".join(parts)]
+                                      + lines[at + 1:]) + "\n")
+            with pytest.raises(ArtifactError, match=f"{name} must be finite"):
+                load_fit(path)
+
+
+def test_artifact_with_non_finite_data_is_rejected(tmp_path):
+    # each data column is checked when its dataset is built, and the error
+    # names it; an infinite coordinate used to be factored as a station
+    # correlated with no other, failing only on the stored summaries
+    rng = np.random.default_rng(67)
+    prior = default_prior()
+    ef = event_statistics(make_dataset(rng, 8), THETA, prior)
+    path = tmp_path / "fit.out"
+    save_fit(ModelFit(theta=THETA, events=(ef,), prior=prior,
+                      log_posterior=0.0), path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("sigma2 ")) + 3
+    for column, name in enumerate(("locations", "locations", "x", "y")):
+        for token in ("nan", "inf", "-inf"):
+            parts = lines[at].split()
+            parts[column] = token
             path.write_text("\n".join(lines[:at] + [" ".join(parts)]
                                       + lines[at + 1:]) + "\n")
             with pytest.raises(ArtifactError, match=f"{name} must be finite"):

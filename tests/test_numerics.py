@@ -24,6 +24,7 @@ from fieldcal.numerics import (
     NotPositiveDefinite,
     NotPSD,
     OptimizerOptions,
+    _cholesky_in_place,
     cholesky,
     nelder_mead,
     pivoted_cholesky,
@@ -180,6 +181,32 @@ def test_cholesky_jitter_rescues_singular_psd():
     a = np.ones((3, 3))  # rank one, plain factorization fails
     f = cholesky(a)
     np.testing.assert_allclose(f.lower @ f.lower.T, a, atol=1e-7)
+    # the factor records the jitter, 1e-8 * trace / n, and a is untouched
+    assert f.jitter == pytest.approx(1e-8, rel=1e-15)
+    np.testing.assert_array_equal(a, np.ones((3, 3)))
+    assert cholesky(np.eye(3)).jitter == 0.0
+
+
+def test_in_place_factor_is_the_built_buffer():
+    # the private entry point factors the buffer build() returns, reading
+    # only its diagonal and upper triangle (NaN below is never seen); the
+    # jitter retry factors a second build, as the first is overwritten
+    spd = _symmetric(6, 23) + 20.0 * np.eye(6)
+    for a, builds in ((spd, 1), (np.ones((6, 6)), 2)):
+        built = []
+
+        def build():
+            built.append(np.triu(a) + np.tril(np.full(a.shape, np.nan), -1))
+            return built[-1]
+
+        got, want = _cholesky_in_place(build), cholesky(a)
+        assert len(built) == builds
+        assert np.array_equal(got.lower.view(np.uint64),
+                              want.lower.view(np.uint64))
+        assert (got.logdet, got.jitter) == (want.logdet, want.jitter)
+        assert np.shares_memory(got.lower, built[-1]) == (builds == 1)
+    with pytest.raises(NotPositiveDefinite, match="even after jitter"):
+        _cholesky_in_place(lambda: np.array([[1.0, 2.0], [np.nan, 1.0]]))
 
 
 def test_cholesky_and_solves_match_scipy_bit_for_bit():
@@ -228,14 +255,24 @@ def test_cholesky_empty_matrix():
     assert f.solve(np.zeros((0, 2))).shape == (0, 2)
 
 
-def test_import_leaves_the_optimizer_out():
+def _run_fresh(script):
+    """stdout of ``script`` run by a fresh interpreter on this fieldcal."""
     src = os.path.dirname(os.path.dirname(fieldcal.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c", _SEARCH_AND_FIT], env=env, capture_output=True,
-        text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, check=True).stdout.strip()
+
+
+def test_import_leaves_the_optimizer_out():
+    assert _run_fresh(_SEARCH_AND_FIT) == "False"
+
+
+def test_pipeline_leaves_scipy_spatial_and_sparse_out():
+    # lags come from numpy; a fresh process because the oracle tests
+    # here load scipy.spatial
+    assert _run_fresh(_PIPELINE) == "[]"
 
 
 # imports the package and the CLI, runs a search and a small fit, and
@@ -255,6 +292,34 @@ ds = EventDataset("ev", rng.uniform(0, 8, size=(12, 2)), x,
 inference.fit([ds], inference.default_prior(),
               numerics.OptimizerOptions(max_evals=20))
 print('scipy.optimize' in sys.modules)
+"""
+
+# a small fit, a grid prediction, a full-covariance posterior with draws
+# and a semivariogram; prints the scipy.spatial and scipy.sparse modules
+# loaded
+_PIPELINE = """
+import sys
+import numpy as np
+import fieldcal, fieldcal.cli
+from fieldcal import inference, numerics
+from fieldcal.dataio import EventDataset, GridField
+from fieldcal.diagnostics import semivariogram
+from fieldcal.prediction import posterior_field, predict_grid, sample_field
+rng = np.random.default_rng(5)
+x = rng.uniform(16, 40, size=12)
+ds = EventDataset("ev", rng.uniform(0, 8, size=(12, 2)), x,
+                  np.abs(0.8 * x + rng.normal(0, 4, size=12)), threshold=15.0)
+mf = inference.fit([ds], inference.default_prior(),
+                   numerics.OptimizerOptions(max_evals=20))
+grid = GridField(event="ev", n1=4, n2=5, origin=(0.0, 0.0),
+                 spacing=(2.0, 1.6), values=rng.uniform(16, 40, size=(4, 5)))
+predict_grid(mf, "ev", grid)
+pf = posterior_field(mf, "ev", (rng.uniform(0, 8, size=(6, 2)),
+                                rng.uniform(16, 40, size=6)), full_cov=True)
+sample_field(pf, 3, seed=1)
+semivariogram(mf, "ev", "h1", 3, reps=5)
+print(sorted(m for m in sys.modules
+             if m.startswith(("scipy.spatial", "scipy.sparse"))))
 """
 
 

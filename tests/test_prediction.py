@@ -354,9 +354,10 @@ def test_zero_targets_give_an_empty_full_posterior():
 
 def test_full_covariance_and_draws_hold_one_matrix():
     # tracemalloc peaks at m = 3000, K = 200, in m x m matrices: the
-    # covariance is one buffer updated in place (the condensed prior block
-    # is alive while it is filled), and sample_field's pivoted factor is
-    # dpstrf's own output with its lower triangle zeroed in place
+    # covariance is one buffer updated in place, its prior correlation
+    # filled a block of rows at a time (measured 1.09), and sample_field's
+    # pivoted factor is dpstrf's own output with its lower triangle zeroed
+    # in place
     m = 3000
     rng = np.random.default_rng(151)
     mf = make_fit(rng, k=200)
@@ -374,7 +375,7 @@ def test_full_covariance_and_draws_hold_one_matrix():
         sample_peak = (tracemalloc.get_traced_memory()[1] - base) / matrix
     finally:
         tracemalloc.stop()
-    assert posterior_peak <= 1.8, f"posterior_field {posterior_peak:.2f} matrices"
+    assert posterior_peak <= 1.2, f"posterior_field {posterior_peak:.2f} matrices"
     assert sample_peak <= 1.25, f"sample_field {sample_peak:.2f} matrices"
 
 
